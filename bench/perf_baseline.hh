@@ -24,9 +24,9 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "codegen/cprinter.hh"
 #include "driver/compile_context.hh"
 #include "driver/registry.hh"
+#include "exec/native.hh"
 #include "support/small_vec.hh"
 
 namespace polyfuse {
@@ -37,7 +37,7 @@ struct PerfMeasurement
 {
     double ms = 0;         ///< fastest rep's pipeline wall time
     pres::fm::Counters fm; ///< that rep's context totals
-    std::string code;      ///< printCode of the produced AST
+    std::string code;      ///< emitNativeSource of the produced AST
 };
 
 /** One side of the A/B comparison. */
@@ -72,7 +72,7 @@ compileForPerf(const driver::WorkloadSpec &w, const ir::Program &p,
         if (ms < best.ms) {
             best.ms = ms;
             best.fm = ctx.fmCounters();
-            best.code = codegen::printCode(p, state.ast);
+            best.code = exec::emitNativeSource(p, state.ast);
         }
     }
     return best;

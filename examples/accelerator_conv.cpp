@@ -3,18 +3,19 @@
  * Domain example: deploying a conv + batchnorm layer on the
  * DaVinci-like accelerator model (Sec. V-A) through the driver
  * pipeline. Shows the fusion decision of the composition on the
- * layer's polyhedral program, the CUDA-flavoured code (grid mapping
- * annotations), the per-pass compile report, and the per-layer
- * cost-model comparison of separated versus post-tiling-fused
- * execution over several ResNet-50 layers.
+ * layer's polyhedral program, the generated C (the convolution
+ * result kept in a per-tile scratchpad that the batchnorm reads),
+ * the per-pass compile report, and the per-layer cost-model
+ * comparison of separated versus post-tiling-fused execution over
+ * several ResNet-50 layers.
  *
  *   ./examples/accelerator_conv
  */
 
 #include <cstdio>
 
-#include "codegen/cprinter.hh"
 #include "driver/pipeline.hh"
+#include "exec/native.hh"
 #include "memsim/davinci.hh"
 #include "workloads/resnet50.hh"
 
@@ -44,10 +45,8 @@ main()
                 state.composed.fusedIntermediates.size());
     std::printf("--- composed schedule tree ---\n%s\n",
                 state.tree.str().c_str());
-    std::printf("--- accelerator-flavoured code ---\n%s\n",
-                codegen::printCode(p, state.ast,
-                                   codegen::PrintStyle::Cuda)
-                    .c_str());
+    std::printf("--- generated C ---\n%s\n",
+                exec::emitNativeSource(p, state.ast).c_str());
     std::printf("--- pass pipeline ---\n%s\n",
                 state.stats.str().c_str());
 

@@ -43,13 +43,8 @@ cacheStat(const exec::KernelCache &cache, bool hit, double lookup_ms)
 pres::Fingerprint
 programFingerprint(const ir::Program &program,
                    const PipelineOptions &options, exec::Tier tier,
-                   exec::ParStrategy par, unsigned par_threads,
-                   exec::SimdMode simd)
+                   exec::ParStrategy par, unsigned par_threads)
 {
-    // The SIMD mode deliberately stays out of the key: it is a pure
-    // runtime VM flag, selected per-loop at execution time, and
-    // changes nothing about the compiled artifact.
-    (void)simd;
     pres::Fingerprinter fp;
     fp.mix(kFingerprintVersion);
     ir::mixProgram(fp, program);
@@ -100,8 +95,7 @@ compileKernel(const Pipeline &pipeline,
     KernelArtifact artifact;
     artifact.fingerprint = programFingerprint(
         *program, pipeline.options(), artifact_options.tier,
-        artifact_options.par, artifact_options.parThreads,
-        artifact_options.simd);
+        artifact_options.par, artifact_options.parThreads);
     artifact.requestedStrategy = pipeline.options().strategy;
     artifact.effectiveStrategy = pipeline.options().strategy;
 

@@ -53,16 +53,14 @@ namespace driver {
  * the resolved team size and the probed parallel toolchain mode
  * are mixed (the tile-team shape is baked into the native TU), so
  * a warm cache hit can never serve a kernel compiled for a
- * different backend. @p simd is accepted for symmetry but never
- * mixed -- the vector path is a pure runtime VM flag selected
- * per-loop at execution time; it changes no emitted code.
+ * different backend. Runtime-only flags such as the SIMD mode are
+ * no input: they change no emitted code.
  */
 pres::Fingerprint
 programFingerprint(const ir::Program &program,
                    const PipelineOptions &options, exec::Tier tier,
                    exec::ParStrategy par = exec::ParStrategy::Off,
-                   unsigned par_threads = 0,
-                   exec::SimdMode simd = exec::SimdMode::Off);
+                   unsigned par_threads = 0);
 
 /** Knobs of compileKernel beyond the pipeline options. */
 struct ArtifactOptions
@@ -83,9 +81,6 @@ struct ArtifactOptions
      *  count); fingerprint-relevant only when tier == Native and
      *  par != Off. */
     unsigned parThreads = 0;
-
-    /** Runtime VM flag; never part of the fingerprint. */
-    exec::SimdMode simd = exec::SimdMode::Off;
 };
 
 /** An immutable compiled kernel plus its compile-time record. */

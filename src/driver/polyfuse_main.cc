@@ -3,12 +3,13 @@
  * The production command-line entry point of the compiler:
  *
  *   polyfuse --workload harris --strategy ours --tiles 32,128 \
- *            --emit c|cuda|tree|stats
+ *            --emit c|tree|stats|json
  *   polyfuse --all --jobs 8 --emit stats|json
  *
  * Builds the named workload, runs the driver's pass pipeline with
- * the chosen strategy, and emits the generated C/CUDA code, the
- * final schedule tree, or the per-pass timing/counter report.
+ * the chosen strategy, and emits the generated C (the translation
+ * unit the native tier compiles), the final schedule tree, or the
+ * per-pass timing/counter report.
  * `--all` batch-compiles every registered workload under every
  * strategy through driver::compileBatch, `--jobs N` of them
  * concurrently, and prints the cross-job summary table (or one
@@ -23,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "codegen/cprinter.hh"
 #include "deps/dependences.hh"
 #include "driver/artifact.hh"
 #include "driver/batch.hh"
@@ -31,6 +31,7 @@
 #include "driver/registry.hh"
 #include "exec/engine.hh"
 #include "exec/kernel_cache.hh"
+#include "exec/native.hh"
 #include "perfmodel/autotune.hh"
 #include "perfmodel/tune_db.hh"
 #include "service/client.hh"
@@ -124,8 +125,9 @@ usage(FILE *to)
         "                        ~20%% of the ladder)\n"
         "  --search-report       also run the exhaustive oracle and\n"
         "                        report the guided quality gap\n"
-        "  --emit c|cuda|tree|stats|json\n"
-        "                        what to print (default: stats;\n"
+        "  --emit c|tree|stats|json\n"
+        "                        what to print (default: stats; c\n"
+        "                        is the C the native tier compiles;\n"
         "                        --all supports stats and json)\n"
         "  --serve SOCKET        run as a long-lived compile daemon\n"
         "                        on the unix socket (SIGTERM or a\n"
@@ -536,7 +538,7 @@ main(int argc, char **argv)
     }
 
     if (emit != "stats" && emit != "json" && emit != "tree" &&
-        emit != "c" && emit != "cuda") {
+        emit != "c") {
         std::fprintf(stderr, "polyfuse: unknown --emit '%s'\n",
                      emit.c_str());
         return 2;
@@ -773,7 +775,6 @@ main(int argc, char **argv)
     aopts.tier = tier;
     aopts.par = par;
     aopts.parThreads = run_threads;
-    aopts.simd = simd;
     if (use_cache) {
         aopts.cache = &exec::KernelCache::process();
         if (cache_bytes)
@@ -980,18 +981,11 @@ main(int argc, char **argv)
             out.insert(out.size() - 1, run_json);
         }
         std::printf("%s\n", out.c_str());
-    } else if (emit == "c") {
-        std::printf("%s",
-                    codegen::printCode(*program,
-                                       artifact.image->ast)
-                        .c_str());
     } else {
-        // emit == "cuda"; the spelling was validated up front.
-        std::printf("%s",
-                    codegen::printCode(*program,
-                                       artifact.image->ast,
-                                       codegen::PrintStyle::Cuda)
-                        .c_str());
+        // emit == "c"; the spelling was validated up front.
+        std::printf("%s", exec::emitNativeSource(*program,
+                                                 artifact.image->ast)
+                              .c_str());
     }
 
     if (ran && emit != "json") {

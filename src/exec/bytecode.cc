@@ -1815,15 +1815,6 @@ BytecodeKernel::run(Buffers &buffers, TraceSink &sink) const
 }
 
 ExecStats
-BytecodeKernel::run(Buffers &buffers, const TraceHook &hook) const
-{
-    if (!hook)
-        return run(buffers);
-    HookSink sink(hook);
-    return run(buffers, sink);
-}
-
-ExecStats
 BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
                             ParStrategy strategy,
                             const std::vector<deps::TileBandGraph> *bands,

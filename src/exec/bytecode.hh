@@ -85,9 +85,6 @@ class BytecodeKernel
     /** Execute, streaming batched trace records into @p sink. */
     ExecStats run(Buffers &buffers, TraceSink &sink) const;
 
-    /** Adapter: per-access hook consumers (legacy signature). */
-    ExecStats run(Buffers &buffers, const TraceHook &hook) const;
-
     /**
      * Execute with up to @p threads workers scheduling the tape's
      * tile regions per @p strategy, gated by the @p bands

@@ -5,10 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "exec/bytecode.hh"
-#include "exec/native.hh"
-#include "support/failpoint.hh"
-#include "support/logging.hh"
+#include "exec/kernel_cache.hh"
 
 namespace polyfuse {
 namespace exec {
@@ -85,155 +82,44 @@ parseSimdMode(const std::string &text, SimdMode *out)
     return true;
 }
 
-namespace {
-
-ExecStats
-runBytecode(const ir::Program &program, const codegen::AstPtr &ast,
-            Buffers &buffers, const ExecOptions &options,
-            SimdMode simd, std::string *simd_fallback)
-{
-    BytecodeKernel kernel = BytecodeKernel::compile(program, ast);
-    if (options.sink)
-        return kernel.run(buffers, *options.sink);
-    if (options.trace)
-        return kernel.run(buffers, options.trace);
-    return kernel.run(buffers, simd, simd_fallback);
-}
-
-} // namespace
-
 ExecResult
 execute(const ir::Program &program, const codegen::AstPtr &ast,
         Buffers &buffers, const ExecOptions &options)
 {
+    if (options.tier != Tier::Interp) {
+        // A transient image that borrows the program: the tier ladder
+        // lives once, in execute(image, ...).
+        KernelImage image;
+        image.program = std::shared_ptr<const ir::Program>(
+            std::shared_ptr<const ir::Program>(), &program);
+        image.ast = ast;
+        image.bytecode = BytecodeKernel::compile(program, ast);
+        return execute(image, buffers, options);
+    }
+
     ExecResult result;
-    Tier tier = options.tier;
-    bool tracing = options.sink || options.trace;
-    bool want_par = options.par != ParStrategy::Off;
-
-    if (tier == Tier::Native && tracing) {
-        if (!options.allowFallback)
-            fatal("native tier cannot emit traces");
-        result.fallbackReason = "tracing needs an instrumented tier";
-        tier = Tier::Bytecode;
-    }
-
-    if (tier == Tier::Native) {
-        NativeKernel kernel;
-        if (want_par) {
-            // The parallel-native ladder: parallel compile ->
-            // sequential native -> bytecode, each step with the
-            // reason recorded, and every decision taken before
-            // anything executes (the same
-            // planning-before-execution contract runParallel
-            // keeps).
-            bool planned = true;
-            std::string par_reason;
-            try {
-                failpoints::hit("exec.native.par.spawn");
-            } catch (const std::exception &e) {
-                planned = false;
-                par_reason = e.what();
-            }
-            if (planned) {
-                NativeOptions nopts;
-                nopts.par = options.par;
-                nopts.threads = options.threads;
-                nopts.tileBands = options.tileBands;
-                kernel = NativeKernel::compile(program, ast, nopts);
-                if (!kernel.ok())
-                    par_reason = kernel.reason();
-            }
-            if (!kernel.ok()) {
-                kernel = NativeKernel::compile(program, ast);
-                if (kernel.ok())
-                    result.parFallbackReason = par_reason;
-            } else if (kernel.parMode() == NativeParMode::Seq) {
-                result.parFallbackReason = kernel.parReason();
-            } else {
-                result.par.threads = kernel.threads();
-                result.par.strategy = options.par;
-                result.par.regionsParallel =
-                    kernel.regionsParallel();
-                result.par.regionsSequential =
-                    kernel.regionsSequential();
-                result.par.criticalPath =
-                    kernel.regionsParallel() ? 1 : 0;
-            }
-        } else {
-            kernel = NativeKernel::compile(program, ast);
-        }
-        if (kernel.ok()) {
-            if (options.simd == SimdMode::On)
-                result.simdFallbackReason = "native tier relies on "
-                                            "compiler "
-                                            "auto-vectorization";
-            result.stats = kernel.run(buffers);
-            result.tier = Tier::Native;
-            return result;
-        }
-        if (!options.allowFallback)
-            fatal("native tier unavailable: " + kernel.reason());
-        result.fallbackReason = kernel.reason();
-        result.par = ParRunStats{};
-        tier = Tier::Bytecode;
-    }
-
-    if (tier == Tier::Bytecode) {
-        if (want_par && tracing) {
-            result.parFallbackReason =
-                "tracing requires sequential execution";
-            want_par = false;
-        }
-        SimdMode simd = options.simd;
-        if (simd == SimdMode::On && tracing) {
-            result.simdFallbackReason =
-                "tracing requires scalar execution";
-            simd = SimdMode::Off;
-        }
-        if (want_par) {
-            BytecodeKernel kernel =
-                BytecodeKernel::compile(program, ast);
-            result.stats = kernel.runParallel(
-                buffers, options.threads, options.par,
-                options.tileBands, result.par,
-                result.parFallbackReason, simd,
-                &result.simdFallbackReason);
-        } else {
-            result.stats = runBytecode(program, ast, buffers,
-                                       options, simd,
-                                       &result.simdFallbackReason);
-        }
-        if (options.simd == SimdMode::On &&
-            result.simdFallbackReason.empty())
-            result.simd = SimdMode::On;
-        result.tier = Tier::Bytecode;
-        return result;
-    }
-
+    result.tier = Tier::Interp;
     if (options.simd == SimdMode::On)
         result.simdFallbackReason =
             "simd fast path needs the bytecode tier";
-
-    if (options.sink) {
-        TraceSink &sink = *options.sink;
-        TraceHook hook = [&sink](int space, int64_t off, bool w) {
-            TraceRecord r{off, int32_t(space),
-                          uint8_t(w ? 1 : 0)};
-            sink.onRecords(&r, 1);
-        };
-        result.stats = run(program, ast, buffers, hook);
-    } else {
-        result.stats = run(program, ast, buffers, options.trace);
+    if (!options.sink) {
+        result.stats = run(program, ast, buffers);
+        return result;
     }
-    result.tier = Tier::Interp;
+    TraceSink &sink = *options.sink;
+    result.stats = run(program, ast, buffers,
+                       [&sink](int space, int64_t off, bool w) {
+                           TraceRecord r{off, int32_t(space),
+                                         uint8_t(w ? 1 : 0)};
+                           sink.onRecords(&r, 1);
+                       });
     return result;
 }
 
 const std::vector<BackendSpec> &
 backendRegistry()
 {
-    // Every entry promises bit-identity: the native emitters pin
+    // Every entry promises bit-identity: the native emitter pins
     // `-ffp-contract=off` and the guarded scalar forms, parallel
     // tiles write disjoint footprints in program order, and the
     // vector path applies the exact scalar op sequence per lane.

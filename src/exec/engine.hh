@@ -12,7 +12,9 @@
  * (unless allowFallback is off, which turns the condition into a
  * FatalError); the result records the tier that actually ran and
  * why any fallback happened, so callers -- the CLI, benchmarks,
- * robustness tests -- can report it.
+ * robustness tests -- can report it. That ladder has one
+ * implementation, exec::execute(const KernelImage &, ...) in
+ * kernel_cache.hh; the (program, AST) overload below adapts onto it.
  */
 
 #ifndef POLYFUSE_EXEC_ENGINE_HH
@@ -121,8 +123,6 @@ struct ExecOptions
     bool allowFallback = true;
     /** Batched trace consumer (interp/bytecode tiers only). */
     TraceSink *sink = nullptr;
-    /** Legacy per-access trace hook; adapted via HookSink. */
-    TraceHook trace;
     /** Worker threads for parallel strategies (0: hardware count). */
     unsigned threads = 1;
     /** Tile scheduling strategy (bytecode tier only). */
@@ -156,9 +156,12 @@ struct ExecResult
 };
 
 /**
- * Execute @p ast over @p buffers on the requested tier. Throws
- * FatalError when fallback is disabled and the tier cannot run, or
- * on program shapes no tier supports.
+ * Execute @p ast over @p buffers on the requested tier. Tier::Interp
+ * runs the reference interpreter directly; every other tier wraps
+ * the AST in a transient, non-owning KernelImage (bytecode lowered
+ * once, options.tileBands as given) and runs execute(image, ...).
+ * Throws FatalError when fallback is disabled and the tier cannot
+ * run, or on program shapes no tier supports.
  */
 ExecResult execute(const ir::Program &program,
                    const codegen::AstPtr &ast, Buffers &buffers,

@@ -95,7 +95,7 @@ execute(const KernelImage &image, Buffers &buffers,
 {
     ExecResult result;
     Tier tier = options.tier;
-    bool tracing = options.sink || options.trace;
+    const bool tracing = options.sink != nullptr;
     bool want_par = options.par != ParStrategy::Off;
 
     if (tier == Tier::Native && tracing) {
@@ -106,9 +106,10 @@ execute(const KernelImage &image, Buffers &buffers,
     }
 
     if (tier == Tier::Native) {
-        // Same parallel-native ladder as exec::execute (keep them in
-        // lockstep): parallel compile -> sequential native ->
-        // bytecode, reasons recorded at every step.
+        // The parallel-native ladder: parallel compile -> sequential
+        // native -> bytecode, each step with the reason recorded, and
+        // every decision taken before anything executes (the same
+        // planning-before-execution contract runParallel keeps).
         std::string reason;
         const NativeKernel *kernel = nullptr;
         if (want_par) {
@@ -181,10 +182,8 @@ execute(const KernelImage &image, Buffers &buffers,
                 buffers, options.threads, options.par, bands,
                 result.par, result.parFallbackReason, simd,
                 &result.simdFallbackReason);
-        } else if (options.sink) {
+        } else if (tracing) {
             result.stats = image.bytecode.run(buffers, *options.sink);
-        } else if (options.trace) {
-            result.stats = image.bytecode.run(buffers, options.trace);
         } else {
             result.stats = image.bytecode.run(buffers, simd,
                                               &result.simdFallbackReason);
@@ -196,7 +195,8 @@ execute(const KernelImage &image, Buffers &buffers,
         return result;
     }
 
-    // Interp tier: no precompiled form to reuse; delegate.
+    // Interp tier: no precompiled form to reuse; the (program, AST)
+    // overload runs the interpreter directly.
     return execute(*image.program, image.ast, buffers, options);
 }
 

@@ -46,7 +46,9 @@ namespace exec {
 /** Everything needed to execute one compiled program, frozen. */
 struct KernelImage
 {
-    /** Owns the program: cached kernels outlive the compiling call. */
+    /** Owns the program, since cached kernels outlive the compiling
+     *  call; the transient image of execute(program, ast, ...)
+     *  borrows it instead. */
     std::shared_ptr<const ir::Program> program;
     codegen::AstPtr ast;
     std::vector<codegen::GeneratedBand> genBands;
@@ -101,11 +103,12 @@ struct KernelImage
 uint64_t estimateImageBytes(const KernelImage &image);
 
 /**
- * Execute a frozen image over @p buffers. Same tier dispatch and
- * fallback semantics as exec::execute(program, ast, ...), but reuses
- * the image's pre-compiled bytecode and memoized native kernel
- * instead of recompiling, and defaults ExecOptions::tileBands to the
- * image's own classifications.
+ * Execute a frozen image over @p buffers: the one implementation of
+ * the tier ladder (engine.hh), reusing the image's pre-compiled
+ * bytecode and memoized native kernel instead of recompiling, and
+ * defaulting ExecOptions::tileBands to the image's own
+ * classifications. exec::execute(program, ast, ...) runs every
+ * non-interpreter tier through here on a transient image.
  */
 ExecResult execute(const KernelImage &image, Buffers &buffers,
                    const ExecOptions &options = {});

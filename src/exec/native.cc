@@ -11,9 +11,9 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
-#include "codegen/render.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
+#include "support/strutil.hh"
 #include "support/timer.hh"
 
 namespace polyfuse {
@@ -22,11 +22,32 @@ namespace exec {
 using codegen::AstKind;
 using codegen::AstNode;
 using codegen::AstPtr;
+using codegen::BoundAlt;
+using codegen::BoundTerm;
+using codegen::GuardRow;
 using ir::Expr;
 using ir::Program;
 using ir::Statement;
 
 namespace {
+
+/**
+ * The helpers every rendered bound relies on. Real functions, not
+ * macros: bounds nest pf_min/pf_max tens deep on heavily fused
+ * kernels, and a macro doubles the token count per nesting level --
+ * a 20-line loop nest can explode to 2^20+ preprocessed tokens and
+ * minutes of cc1 time. Functions keep the source linear and inline
+ * to the same code at -O2.
+ */
+const char *const kHelperPreamble =
+    "static inline int64_t pf_max(int64_t a, int64_t b)\n"
+    "{ return a > b ? a : b; }\n"
+    "static inline int64_t pf_min(int64_t a, int64_t b)\n"
+    "{ return a < b ? a : b; }\n"
+    "static inline int64_t pf_fdiv(int64_t n, int64_t d)\n"
+    "{ return n >= 0 ? n / d : -((-n + d - 1) / d); }\n"
+    "static inline int64_t pf_cdiv(int64_t n, int64_t d)\n"
+    "{ return pf_fdiv(n + d - 1, d); }\n";
 
 /** Render a double so the C compiler reparses the exact bits. */
 std::string
@@ -35,6 +56,18 @@ hexDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%a", v);
     return buf;
+}
+
+/** The fully-parallel band ids of @p bands (empty without proof). */
+std::set<int>
+fullyParallelBands(const std::vector<deps::TileBandGraph> *bands)
+{
+    std::set<int> out;
+    if (bands)
+        for (const auto &b : *bands)
+            if (b.cls == deps::TileBandClass::FullyParallel)
+                out.insert(b.bandId);
+    return out;
 }
 
 /** The lexically active scratchpad of one tensor. */
@@ -50,13 +83,10 @@ class Emitter
   public:
     Emitter(const Program &p, NativeParMode mode, unsigned threads,
             const std::vector<deps::TileBandGraph> *bands)
-        : prog_(p), mode_(mode), threads_(threads)
+        : prog_(p), mode_(mode), threads_(threads),
+          par_bands_(fullyParallelBands(bands))
     {
         scratch_.resize(p.tensors().size());
-        if (bands)
-            for (const auto &b : *bands)
-                if (b.cls == deps::TileBandClass::FullyParallel)
-                    par_bands_.insert(b.bandId);
     }
 
     std::string
@@ -71,7 +101,7 @@ class Emitter
         if (mode_ == NativeParMode::Threads)
             os_ << "#include <thread>\n"
                 << "#include <vector>\n";
-        os_ << "\n" << codegen::renderHelperPreamble() << "\n";
+        os_ << "\n" << kHelperPreamble << "\n";
         // The Threads mode is a C++ TU (std::thread), so the entry
         // point keeps C linkage for dlsym.
         if (mode_ == NativeParMode::Threads)
@@ -118,6 +148,79 @@ class Emitter
         }
         for (const auto &c : n->children)
             collectVarNames(c);
+    }
+
+    /** One affine numerator: coefficients over loop variables and
+     *  parameters plus a constant. */
+    std::string
+    linear(const BoundTerm &t) const
+    {
+        std::ostringstream os;
+        bool first = true;
+        auto emit = [&](int64_t c, const std::string &name) {
+            if (c == 0)
+                return;
+            if (first) {
+                if (c == -1)
+                    os << "-";
+                else if (c != 1)
+                    os << c << " * ";
+            } else {
+                os << (c > 0 ? " + " : " - ");
+                int64_t a = c > 0 ? c : -c;
+                if (a != 1)
+                    os << a << " * ";
+            }
+            os << name;
+            first = false;
+        };
+        for (size_t v = 0; v < t.varCoeffs.size(); ++v)
+            emit(t.varCoeffs[v], var_names_[v]);
+        for (size_t q = 0; q < t.paramCoeffs.size(); ++q)
+            emit(t.paramCoeffs[q], prog_.params()[q]);
+        if (first)
+            os << t.constant;
+        else if (t.constant > 0)
+            os << " + " << t.constant;
+        else if (t.constant < 0)
+            os << " - " << -t.constant;
+        return os.str();
+    }
+
+    /** A loop or box bound: the min over alternatives of the max
+     *  over their terms (lower), or the dual (upper); a divided term
+     *  rounds inward via pf_cdiv/pf_fdiv. */
+    std::string
+    bound(const std::vector<BoundAlt> &alts, bool is_lower) const
+    {
+        const char *inner = is_lower ? "pf_max(" : "pf_min(";
+        const char *outer = is_lower ? "pf_min(" : "pf_max(";
+        std::string out;
+        for (size_t a = 0; a < alts.size(); ++a) {
+            std::string alt;
+            for (size_t i = 0; i < alts[a].size(); ++i) {
+                const BoundTerm &t = alts[a][i];
+                std::string term = linear(t);
+                if (t.div != 1)
+                    term = std::string(is_lower ? "pf_cdiv("
+                                                : "pf_fdiv(") +
+                           term + ", " + std::to_string(t.div) + ")";
+                alt = i == 0 ? term : inner + alt + ", " + term + ")";
+            }
+            out = a == 0 ? alt : outer + out + ", " + alt + ")";
+        }
+        return out;
+    }
+
+    /** One guard row as a boolean C expression. */
+    std::string
+    guard(const GuardRow &g) const
+    {
+        BoundTerm t;
+        t.varCoeffs = g.varCoeffs;
+        t.paramCoeffs = g.paramCoeffs;
+        t.constant = g.constant;
+        return linear(t) + (g.isEq ? " == 0" : " >= 0");
     }
 
     /** The index expression of instance dimension @p d of node @p n:
@@ -181,36 +284,39 @@ class Emitter
     storageRef(int tensor, const std::vector<std::string> &idx) const
     {
         const auto &stack = scratch_[tensor];
-        std::ostringstream r;
-        if (!stack.empty()) {
-            const ScratchScope &s = stack.back();
-            r << s.buf << "[";
-            if (idx.empty()) {
-                r << "0";
-            } else {
-                std::string off =
-                    "(" + idx[0] + " - " + s.lo[0] + ")";
-                for (size_t d = 1; d < idx.size(); ++d)
-                    off = "(" + off + ") * " + s.ext[d] + " + (" +
-                          idx[d] + " - " + s.lo[d] + ")";
-                r << off;
-            }
-            r << "]";
-            return r.str();
-        }
-        r << "pf_bufs[" << tensor << "][";
-        if (idx.empty()) {
-            r << "0";
-        } else {
-            std::string off = "(" + idx[0] + ")";
-            for (size_t d = 1; d < idx.size(); ++d)
-                off = "(" + off + ") * " +
-                      std::to_string(prog_.tensorExtent(tensor, d)) +
-                      " + (" + idx[d] + ")";
-            r << off;
-        }
-        r << "]";
-        return r.str();
+        return stack.empty() ? globalRef(tensor, idx)
+                             : scratchRef(stack.back(), idx);
+    }
+
+    /** @p idx into scratchpad @p s: offsets from the box origin,
+     *  Horner over the box extents. */
+    static std::string
+    scratchRef(const ScratchScope &s, const std::vector<std::string> &idx)
+    {
+        if (idx.empty())
+            return s.buf + "[0]";
+        std::string off = "(" + idx[0] + " - " + s.lo[0] + ")";
+        for (size_t d = 1; d < idx.size(); ++d)
+            off = "(" + off + ") * " + s.ext[d] + " + (" + idx[d] +
+                  " - " + s.lo[d] + ")";
+        return s.buf + "[" + off + "]";
+    }
+
+    /** @p idx into tensor @p tensor's global buffer, Horner over the
+     *  tensor extents (the copy-in source, and every access outside
+     *  a scratchpad scope). */
+    std::string
+    globalRef(int tensor, const std::vector<std::string> &idx) const
+    {
+        std::string buf = "pf_bufs[" + std::to_string(tensor) + "]";
+        if (idx.empty())
+            return buf + "[0]";
+        std::string off = "(" + idx[0] + ")";
+        for (size_t d = 1; d < idx.size(); ++d)
+            off = "(" + off + ") * " +
+                  std::to_string(prog_.tensorExtent(tensor, d)) +
+                  " + (" + idx[d] + ")";
+        return buf + "[" + off + "]";
     }
 
     /** Render statement body @p e of node @p n as a C expression
@@ -306,13 +412,11 @@ class Emitter
                                   "_" + tag;
                 line(depth)
                     << "int64_t " << lo << " = pf_max("
-                    << codegen::renderBound(prog_, promo.boxLo[d],
-                                            true, var_names_)
+                    << bound(promo.boxLo[d], true)
                     << ", 0);\n";
                 line(depth)
                     << "int64_t " << hi << " = pf_min("
-                    << codegen::renderBound(prog_, promo.boxHi[d],
-                                            false, var_names_)
+                    << bound(promo.boxHi[d], false)
                     << ", "
                     << prog_.tensorExtent(promo.tensor, d) - 1
                     << ");\n";
@@ -336,7 +440,7 @@ class Emitter
             line(depth) << "if (" << size << " > 0) {\n";
             {
                 unsigned d2 = depth + 1;
-                std::vector<std::string> src_idx, dst_idx;
+                std::vector<std::string> idx;
                 for (unsigned d = 0; d < rank; ++d) {
                     std::string it = "pf_ci" + std::to_string(d) +
                                      "_" + tag;
@@ -344,20 +448,11 @@ class Emitter
                              << sc.lo[d] << "; " << it << " < "
                              << sc.lo[d] << " + " << sc.ext[d]
                              << "; ++" << it << ")\n";
-                    src_idx.push_back(it);
+                    idx.push_back(it);
                     ++d2;
                 }
-                // Destination offset: Horner over box extents.
-                std::string dst = rank == 0 ? std::string("0")
-                                            : "(" + src_idx[0] +
-                                                  " - " + sc.lo[0] +
-                                                  ")";
-                for (unsigned d = 1; d < rank; ++d)
-                    dst = "(" + dst + ") * " + sc.ext[d] + " + (" +
-                          src_idx[d] + " - " + sc.lo[d] + ")";
-                line(d2) << sc.buf << "[" << dst << "] = "
-                         << storageRefGlobal(promo.tensor, src_idx)
-                         << ";\n";
+                line(d2) << scratchRef(sc, idx) << " = "
+                         << globalRef(promo.tensor, idx) << ";\n";
             }
             line(depth) << "}\n";
             scratch_[promo.tensor].push_back(std::move(sc));
@@ -379,43 +474,17 @@ class Emitter
         line(depth) << "}\n";
     }
 
-    /** storageRef pinned to the global buffer (copy-in source). */
-    std::string
-    storageRefGlobal(int tensor,
-                     const std::vector<std::string> &idx) const
-    {
-        std::ostringstream r;
-        r << "pf_bufs[" << tensor << "][";
-        if (idx.empty()) {
-            r << "0";
-        } else {
-            std::string off = "(" + idx[0] + ")";
-            for (size_t d = 1; d < idx.size(); ++d)
-                off = "(" + off + ") * " +
-                      std::to_string(prog_.tensorExtent(tensor, d)) +
-                      " + (" + idx[d] + ")";
-            r << off;
-        }
-        r << "]";
-        return r.str();
-    }
-
     void
     emitStmt(const AstNode &n, unsigned depth)
     {
         const Statement &s = prog_.statement(n.stmt);
-        line(depth) << "{\n";
+        line(depth) << "{ /* " << s.name() << " */\n";
         ++depth;
         if (!n.guards.empty()) {
             std::vector<std::string> conds;
             for (const auto &g : n.guards)
-                conds.push_back(
-                    "(" + codegen::renderGuard(prog_, g, var_names_) +
-                    ")");
-            std::string joined = conds[0];
-            for (size_t i = 1; i < conds.size(); ++i)
-                joined += " && " + conds[i];
-            line(depth) << "if (" << joined << ") {\n";
+                conds.push_back("(" + guard(g) + ")");
+            line(depth) << "if (" << join(conds, " && ") << ") {\n";
             ++depth;
         }
         if (s.body()) {
@@ -466,12 +535,10 @@ class Emitter
             line(depth) << "{\n";
             ++depth;
             line(depth) << "const int64_t " << v << "_lb = "
-                        << codegen::renderBound(prog_, n->lb, true,
-                                                var_names_)
+                        << bound(n->lb, true)
                         << ";\n";
             line(depth) << "const int64_t " << v << "_ub = "
-                        << codegen::renderBound(prog_, n->ub, false,
-                                                var_names_)
+                        << bound(n->ub, false)
                         << ";\n";
             ++nest_;
             if (team && mode_ == NativeParMode::Omp) {
@@ -707,18 +774,6 @@ cxxCompilerPath()
         }
     }
     return path;
-}
-
-/** The fully-parallel band ids of @p bands (empty without proof). */
-std::set<int>
-fullyParallelBands(const std::vector<deps::TileBandGraph> *bands)
-{
-    std::set<int> out;
-    if (bands)
-        for (const auto &b : *bands)
-            if (b.cls == deps::TileBandClass::FullyParallel)
-                out.insert(b.bandId);
-    return out;
 }
 
 /** Top-level (not under any For/Alloc) level-0 tile loops whose

@@ -2,9 +2,10 @@
  * @file
  * Tier-2 execution: the generated AST emitted as self-contained C,
  * compiled through the system C compiler into a shared object, and
- * dlopen'ed. This runs the *real* generated kernel -- the same code
- * shape codegen/cprinter.hh pretty-prints -- so wall-clock numbers
- * reflect machine code rather than any interpreter.
+ * dlopen'ed. This is the one AST-to-C emitter: `polyfuse --emit c`
+ * prints the same sequential translation unit this tier compiles, so
+ * the text a user reads is the kernel that runs, and wall-clock
+ * numbers reflect machine code rather than any interpreter.
  *
  * The emitted source pins down bit-exact semantics against the
  * reference interpreter: the same guarded-division / clamped-log
@@ -88,8 +89,10 @@ struct NativeOptions
  * `pf_bufs[t]` is the flat buffer of tensor t. Program parameters
  * are folded in as named `const int64_t` constants; scratchpad
  * promotions become calloc'ed locals with copy-in, scoped
- * lexically. With a parallel @p mode, top-level tile loops of
- * bands classified fully parallel in @p bands get a tile-team;
+ * lexically. Each statement's block opens with a comment naming the
+ * statement, so statements stay identifiable in the text. With a
+ * parallel @p mode, top-level tile loops of bands classified fully
+ * parallel in @p bands get a tile-team;
  * @p regions_parallel / @p regions_sequential (optional) report how
  * many top-level tile bands were parallelized vs kept sequential.
  */

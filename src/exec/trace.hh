@@ -10,9 +10,8 @@
  * 16-byte TraceRecords to an in-kernel buffer and hands full batches
  * to a TraceSink, so the per-access cost is one store plus a counter
  * bump and the indirect call amortizes over kTraceBatch records.
- *
- * HookSink adapts the old per-access hook signature onto the batched
- * interface, so existing consumers keep working unchanged.
+ * The per-access TraceHook remains the reference interpreter's own
+ * trace signature (exec/executor.hh).
  */
 
 #ifndef POLYFUSE_EXEC_TRACE_HH
@@ -47,30 +46,10 @@ class TraceSink
     virtual void onRecords(const TraceRecord *records, size_t n) = 0;
 };
 
-/**
- * Memory-trace hook: called per scalar access. Kept as the adapter
- * signature for consumers that want one callback per access.
- */
+/** Memory-trace hook of the reference interpreter: called once per
+ *  scalar access. */
 using TraceHook =
     std::function<void(int space, int64_t offset, bool is_write)>;
-
-/** Adapter: replays each batched record into a per-access hook. */
-class HookSink final : public TraceSink
-{
-  public:
-    explicit HookSink(const TraceHook &hook) : hook_(hook) {}
-
-    void
-    onRecords(const TraceRecord *records, size_t n) override
-    {
-        for (size_t i = 0; i < n; ++i)
-            hook_(records[i].space, records[i].offset,
-                  records[i].isWrite != 0);
-    }
-
-  private:
-    const TraceHook &hook_;
-};
 
 } // namespace exec
 } // namespace polyfuse

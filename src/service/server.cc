@@ -427,7 +427,6 @@ Server::handleCompile(const Request &req,
         aopts.tier = tier;
         aopts.par = par;
         aopts.parThreads = req.threads;
-        aopts.simd = simd;
         if (opts_.useKernelCache)
             aopts.cache = &exec::KernelCache::process();
 

@@ -173,39 +173,29 @@ TEST(ProgramFingerprint, BackendParametersKeyTheNativeTier)
     auto program = smallConv();
     PipelineOptions base;
     auto fp = [&](exec::Tier tier, exec::ParStrategy par,
-                  unsigned threads, exec::SimdMode simd) {
+                  unsigned threads) {
         return programFingerprint(*program, base, tier, par,
-                                  threads, simd);
+                                  threads);
     };
 
     // The tile-team shape is baked into a parallel native TU:
     // strategy-on/off and team size must each change the key.
     auto native_seq = fp(exec::Tier::Native, exec::ParStrategy::Off,
-                         0, exec::SimdMode::Off);
+                         0);
     auto native_p2 = fp(exec::Tier::Native,
-                        exec::ParStrategy::Static, 2,
-                        exec::SimdMode::Off);
+                        exec::ParStrategy::Static, 2);
     auto native_p4 = fp(exec::Tier::Native,
-                        exec::ParStrategy::Static, 4,
-                        exec::SimdMode::Off);
+                        exec::ParStrategy::Static, 4);
     EXPECT_NE(native_p2, native_seq);
     EXPECT_NE(native_p4, native_seq);
     EXPECT_NE(native_p4, native_p2);
 
-    // The bytecode VM's knobs change no emitted code: par and simd
-    // leave the bytecode key alone, and simd leaves every key
-    // alone (it is a pure runtime flag).
+    // The bytecode VM's parallel knobs change no emitted code: they
+    // leave the bytecode key alone.
     auto byte_seq = fp(exec::Tier::Bytecode, exec::ParStrategy::Off,
-                       0, exec::SimdMode::Off);
-    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Static, 4,
-                 exec::SimdMode::Off),
+                       0);
+    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Static, 4),
               byte_seq);
-    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Off, 0,
-                 exec::SimdMode::On),
-              byte_seq);
-    EXPECT_EQ(fp(exec::Tier::Native, exec::ParStrategy::Static, 2,
-                 exec::SimdMode::On),
-              native_p2);
 }
 
 TEST(KernelCache, BackendFlipNeverServesTheWrongKernel)

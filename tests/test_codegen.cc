@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for AST generation and the C printers on the convolution
- * example: loop structure, tile/point loops, guards, promotion
- * scopes, and the pretty-printed code of Fig. 1(b)/Fig. 5. Every
- * schedule is produced by the driver's pass pipeline.
+ * Tests for AST generation on the convolution example: loop
+ * structure, tile/point loops, guards, promotion scopes, parallel
+ * loop marks, and the emitted C of Fig. 1(b)/Fig. 5 (the native
+ * tier's translation unit). Every schedule is produced by the
+ * driver's pass pipeline.
  */
 
 #include <gtest/gtest.h>
 
-#include "codegen/cprinter.hh"
 #include "driver/pipeline.hh"
+#include "exec/native.hh"
 #include "workloads/conv2d.hh"
 
 namespace polyfuse {
@@ -50,6 +51,38 @@ countNodes(const AstPtr &n, AstKind kind)
     for (const auto &ch : n->children)
         c += countNodes(ch, kind);
     return c;
+}
+
+/** True when some For node of @p n satisfies @p pred. */
+bool
+anyLoop(const AstPtr &n, const std::function<bool(const AstNode &)> &pred)
+{
+    if (!n)
+        return false;
+    if (n->kind == AstKind::For && pred(*n))
+        return true;
+    for (const auto &c : n->children)
+        if (anyLoop(c, pred))
+            return true;
+    return false;
+}
+
+/** Loop depth of the outermost parallel For (-1 when none). */
+int
+outermostParallelDepth(const AstPtr &n, int depth = 0)
+{
+    if (!n)
+        return -1;
+    if (n->kind == AstKind::For && n->parallel)
+        return depth;
+    int best = -1;
+    for (const auto &c : n->children) {
+        int d = outermostParallelDepth(
+            c, depth + (n->kind == AstKind::For ? 1 : 0));
+        if (d >= 0 && (best < 0 || d < best))
+            best = d;
+    }
+    return best;
 }
 
 /** Maximum loop nest depth. */
@@ -115,41 +148,46 @@ TEST_F(ConvCodegen, PromotionBoxMatchesFootprint)
     EXPECT_FALSE(alloc->promotions[0].boxHi[0].empty());
 }
 
-TEST_F(ConvCodegen, OpenMPPrinterEmitsPragmasAndTiles)
+TEST_F(ConvCodegen, NativeSourceEmitsTilesAndScratchpad)
 {
     auto state = compile(driver::Strategy::Ours, {2, 2});
-    std::string code = printCode(prog_, state.ast);
-    EXPECT_NE(code.find("#pragma omp parallel for"),
-              std::string::npos);
-    EXPECT_NE(code.find("pf_fdiv"), std::string::npos);
-    EXPECT_NE(code.find("S2("), std::string::npos);
-    EXPECT_NE(code.find("scratchpad for A"), std::string::npos);
+    // Ours keeps a parallel tile loop.
+    EXPECT_TRUE(anyLoop(state.ast, [](const AstNode &n) {
+        return n.tileLoop && n.parallel;
+    }));
+
+    std::string code = exec::emitNativeSource(prog_, state.ast);
+    ASSERT_NE(code.find("void pf_kernel("), std::string::npos);
+    std::string body = code.substr(code.find("void pf_kernel("));
+    // Tile-loop bounds divide by the tile size.
+    EXPECT_NE(body.find("pf_fdiv("), std::string::npos);
+    EXPECT_NE(body.find("/* S2 */"), std::string::npos);
+    // The intermediate lives in a calloc'ed tile-local scratchpad.
+    EXPECT_NE(body.find("scratchpad for A"), std::string::npos);
+    EXPECT_NE(body.find("calloc("), std::string::npos);
     // The skipped original S0 nest is not emitted on its own: S0
     // appears only once (inside the fused tile).
-    size_t first = code.find("S0(");
+    size_t first = body.find("/* S0 */");
     ASSERT_NE(first, std::string::npos);
-    EXPECT_EQ(code.find("S0(", first + 1), std::string::npos);
+    EXPECT_EQ(body.find("/* S0 */", first + 1), std::string::npos);
 }
 
-TEST_F(ConvCodegen, CudaPrinterAnnotatesGridMapping)
+TEST_F(ConvCodegen, TargetParallelismMarksOuterLoopParallel)
 {
     auto state =
         compile(driver::Strategy::Ours, {2, 2}, /*parallelism=*/2);
-    std::string code =
-        printCode(prog_, state.ast, PrintStyle::Cuda);
-    EXPECT_NE(code.find("blockIdx"), std::string::npos);
+    EXPECT_EQ(outermostParallelDepth(state.ast), 0);
 }
 
 TEST_F(ConvCodegen, MaxfuseAstCarriesShiftedBindings)
 {
     // Empty tile sizes: maxfuse without tiling, as in Fig. 1(c).
     auto state = compile(driver::Strategy::MaxFuse, {});
-    std::string code = printCode(prog_, state.ast);
+    std::string code = exec::emitNativeSource(prog_, state.ast);
     // Shifted statements index with an offset (e.g. "c0 - 2").
     EXPECT_NE(code.find(" - 2"), std::string::npos);
-    // Fused loop is serial: no parallel pragma on the fused nest.
-    EXPECT_EQ(code.find("#pragma omp parallel for"),
-              std::string::npos);
+    // The fused nest is serial: no loop is marked parallel.
+    EXPECT_EQ(outermostParallelDepth(state.ast), -1);
 }
 
 TEST_F(ConvCodegen, GuardsAppearForUnionBounds)

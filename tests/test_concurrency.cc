@@ -14,10 +14,10 @@
 #include <thread>
 #include <vector>
 
-#include "codegen/cprinter.hh"
 #include "driver/batch.hh"
 #include "driver/pipeline.hh"
 #include "exec/bytecode.hh"
+#include "exec/native.hh"
 #include "perfmodel/autotune.hh"
 #include "pres/parser.hh"
 #include "support/logging.hh"
@@ -49,7 +49,7 @@ compileOnce(const ir::Program &p, const driver::PipelineOptions &opts)
 {
     driver::CompileContext ctx;
     auto state = driver::Pipeline(opts).run(p, ctx);
-    return {codegen::printCode(p, state.ast), ctx.fmCounters()};
+    return {exec::emitNativeSource(p, state.ast), ctx.fmCounters()};
 }
 
 TEST(Concurrency, ThreadsProduceByteIdenticalAstsAndCounters)
@@ -162,10 +162,10 @@ TEST(Concurrency, CompileBatchInvariantInJobCount)
         EXPECT_EQ(par.jobs[i].name, seq.jobs[i].name);
         // Byte-identical code and FM work per job.
         EXPECT_EQ(
-            codegen::printCode(*par.jobs[i].artifact.image->program,
-                               par.jobs[i].artifact.image->ast),
-            codegen::printCode(*seq.jobs[i].artifact.image->program,
-                               seq.jobs[i].artifact.image->ast));
+            exec::emitNativeSource(*par.jobs[i].artifact.image->program,
+                                   par.jobs[i].artifact.image->ast),
+            exec::emitNativeSource(*seq.jobs[i].artifact.image->program,
+                                   seq.jobs[i].artifact.image->ast));
         EXPECT_EQ(par.jobs[i].artifact.fingerprint,
                   seq.jobs[i].artifact.fingerprint);
         EXPECT_EQ(par.jobs[i].fm.eliminations,

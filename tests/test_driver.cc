@@ -13,9 +13,9 @@
 #include <cstdint>
 #include <string>
 
-#include "codegen/cprinter.hh"
 #include "core/compose.hh"
 #include "driver/pipeline.hh"
+#include "exec/native.hh"
 #include "schedule/fusion.hh"
 #include "workloads/conv2d.hh"
 #include "workloads/pipelines.hh"
@@ -45,7 +45,7 @@ referenceHeuristic(const ir::Program &p, schedule::FusionPolicy policy,
     auto g = deps::DependenceGraph::compute(p);
     auto fusion = schedule::applyFusion(p, g, policy);
     tileAllBands(fusion.tree, tiles);
-    return codegen::printCode(p, codegen::generateAst(fusion.tree));
+    return exec::emitNativeSource(p, codegen::generateAst(fusion.tree));
 }
 
 /** Pre-driver reference: the post-tiling composition. */
@@ -57,7 +57,7 @@ referenceCompose(const ir::Program &p,
     core::ComposeOptions opts;
     opts.tileSizes = tiles;
     auto r = core::compose(p, g, opts);
-    return codegen::printCode(p, codegen::generateAst(r.tree));
+    return exec::emitNativeSource(p, codegen::generateAst(r.tree));
 }
 
 /** Driver path for the same options. */
@@ -69,7 +69,7 @@ viaDriver(const ir::Program &p, Strategy strategy,
     opts.strategy = strategy;
     opts.tileSizes = tiles;
     auto state = Pipeline(opts).run(p);
-    return codegen::printCode(p, state.ast);
+    return exec::emitNativeSource(p, state.ast);
 }
 
 TEST(DriverIdentity, MinFuseMatchesDirectPath)

@@ -11,14 +11,17 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "codegen/generate.hh"
 #include "core/compose.hh"
+#include "driver/artifact.hh"
 #include "driver/pipeline.hh"
 #include "driver/registry.hh"
 #include "exec/bytecode.hh"
 #include "exec/engine.hh"
 #include "exec/executor.hh"
+#include "exec/kernel_cache.hh"
 #include "exec/native.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
@@ -930,14 +933,92 @@ TEST(Engine, DispatchesAndReportsTier)
         EXPECT_EQ(a.data(t), b.data(t));
 
     // Native + tracing cannot mix: falls back to bytecode.
+    struct NoOpSink final : TraceSink
+    {
+        void onRecords(const TraceRecord *, size_t) override {}
+    } no_op;
     Buffers c(p);
     initInputs(p, c);
     ExecOptions nt;
     nt.tier = Tier::Native;
-    nt.trace = [](int, int64_t, bool) {};
+    nt.sink = &no_op;
     ExecResult rn = execute(p, state.ast, c, nt);
     EXPECT_EQ(rn.tier, Tier::Bytecode);
     EXPECT_FALSE(rn.fallbackReason.empty());
+}
+
+// The two execute() overloads -- over a bare (program, AST) and over a
+// frozen KernelImage -- must walk the same tier ladder: bit-identical
+// buffers, the same tier and fallback reasons, the same parallel and
+// SIMD report, the same counters. Wall-clock seconds and ready-queue
+// spins (par.waits) are timing-dependent and excluded.
+TEST(Engine, ExecuteOverloadsAgree)
+{
+    const bool have_cc = NativeKernel::toolchainAvailable();
+    struct Case
+    {
+        std::string name;
+        ExecOptions options;
+        bool sink = false;
+    };
+    std::vector<Case> cases;
+    for (const BackendSpec &b : backendRegistry())
+        cases.push_back({b.name, backendOptions(b), false});
+    for (const char *name : {"native", "bytecode-par2", "bytecode-simd"})
+        cases.push_back({std::string(name) + "+sink",
+                         backendOptions(*findBackend(name)), true});
+    ExecOptions interp_simd;
+    interp_simd.tier = Tier::Interp;
+    interp_simd.simd = SimdMode::On;
+    cases.push_back({"interp+simd", interp_simd, false});
+
+    for (const driver::WorkloadSpec &spec : driver::workloadRegistry()) {
+        auto program = std::make_shared<const ir::Program>(
+            spec.make(smallParams(spec.name)));
+        driver::PipelineOptions popts;
+        popts.strategy = driver::Strategy::Ours;
+        popts.tileSizes = smallTiles(spec);
+        driver::KernelArtifact art =
+            driver::compileKernel(driver::Pipeline(popts), program);
+        ASSERT_TRUE(art.ok()) << spec.name;
+        const KernelImage &image = *art.image;
+        const ir::Program &p = *program;
+
+        for (const Case &c : cases) {
+            if (c.options.tier == Tier::Native && !have_cc)
+                continue;
+            SCOPED_TRACE(std::string(spec.name) + " / " + c.name);
+            ExecOptions eo = c.options;
+            eo.tileBands = &image.tileBands;
+
+            Buffers a(p), b(p);
+            initInputs(p, a);
+            initInputs(p, b);
+            RecordingSink sa, sb;
+            eo.sink = c.sink ? &sa : nullptr;
+            ExecResult ra = execute(p, image.ast, a, eo);
+            eo.sink = c.sink ? &sb : nullptr;
+            ExecResult rb = execute(image, b, eo);
+
+            EXPECT_TRUE(bufferDeviation(p, a, b).bitIdentical);
+            EXPECT_EQ(ra.tier, rb.tier);
+            EXPECT_EQ(ra.fallbackReason, rb.fallbackReason);
+            EXPECT_EQ(ra.parFallbackReason, rb.parFallbackReason);
+            EXPECT_EQ(ra.simd, rb.simd);
+            EXPECT_EQ(ra.simdFallbackReason, rb.simdFallbackReason);
+            EXPECT_EQ(ra.par.threads, rb.par.threads);
+            EXPECT_EQ(ra.par.strategy, rb.par.strategy);
+            EXPECT_EQ(ra.par.regionsParallel, rb.par.regionsParallel);
+            EXPECT_EQ(ra.par.regionsSequential,
+                      rb.par.regionsSequential);
+            EXPECT_EQ(ra.par.tilesExecuted, rb.par.tilesExecuted);
+            EXPECT_EQ(ra.par.criticalPath, rb.par.criticalPath);
+            EXPECT_EQ(ra.stats.instances, rb.stats.instances);
+            EXPECT_EQ(ra.stats.loads, rb.stats.loads);
+            EXPECT_EQ(ra.stats.stores, rb.stats.stores);
+            EXPECT_EQ(sa.recs.size(), sb.recs.size());
+        }
+    }
 }
 
 TEST(Engine, TierNamesRoundTrip)
@@ -951,7 +1032,7 @@ TEST(Engine, TierNamesRoundTrip)
     EXPECT_FALSE(parseTier("jit", &out));
 }
 
-TEST(BytecodeKernel, HookAdapterSeesScratchpadSpaces)
+TEST(BytecodeKernel, SinkSeesScratchpadSpaces)
 {
     ir::Program p = workloads::makeConv2D({12, 10, 3, 3});
     auto graph = deps::DependenceGraph::compute(p);
@@ -964,14 +1045,12 @@ TEST(BytecodeKernel, HookAdapterSeesScratchpadSpaces)
     Buffers b(p);
     b.fillPattern(p.tensorId("A"), 7);
     b.fillPattern(p.tensorId("B"), 13);
+    RecordingSink sink;
+    kernel.run(b, sink);
     int nt = p.tensors().size();
     uint64_t local = 0, global = 0;
-    kernel.run(b, [&](int space, int64_t, bool) {
-        if (space >= nt)
-            ++local;
-        else
-            ++global;
-    });
+    for (const TraceRecord &r : sink.recs)
+        ++(r.space >= nt ? local : global);
     EXPECT_GT(local, 0u);
     EXPECT_GT(global, 0u);
 }

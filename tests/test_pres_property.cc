@@ -16,10 +16,10 @@
 #include <set>
 #include <string>
 
-#include "codegen/cprinter.hh"
 #include "driver/compile_context.hh"
 #include "driver/pipeline.hh"
 #include "driver/registry.hh"
+#include "exec/native.hh"
 #include "pres/affine.hh"
 #include "pres/basic_map.hh"
 #include "pres/map.hh"
@@ -334,7 +334,7 @@ TEST_P(CacheEquivalence, EveryStorageAndCacheModeGeneratesSameCode)
         opts.tileSizes = w->defaultTiles;
         driver::CompilationState state =
             driver::Pipeline(opts).run(p, ctx);
-        v.code = codegen::printCode(p, state.ast);
+        v.code = exec::emitNativeSource(p, state.ast);
         v.fm = ctx.fmCounters();
     }
 
