@@ -7,7 +7,8 @@
  * parameters (exactly what CLooG-family generators emit for the
  * band forms this library produces). Statement nodes carry the
  * binding of original domain dimensions to loop variables plus
- * residual guard constraints for union-bound overshoot.
+ * residual guard constraints for union-bound overshoot (rows an
+ * enclosing loop bound already implies are left out).
  */
 
 #ifndef POLYFUSE_CODEGEN_AST_HH
@@ -28,6 +29,8 @@ struct BoundTerm
     std::vector<int64_t> paramCoeffs; ///< dense, one per program param
     int64_t constant = 0;
     int64_t div = 1;
+
+    bool operator==(const BoundTerm &) const = default;
 };
 
 /**
@@ -55,6 +58,13 @@ struct Promotion
     /** Per tensor dim: max over alternatives of min over terms
      *  (inclusive). */
     std::vector<std::vector<BoundAlt>> boxHi;
+    /**
+     * Fill the scratchpad from the global tensor on scope entry.
+     * Codegen clears it only when it proves every read under the
+     * scope is preceded by a write of the same element in the same
+     * scope instance, so the copied values are never observed.
+     */
+    bool copyIn = true;
 };
 
 struct AstNode;

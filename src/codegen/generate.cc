@@ -1,10 +1,12 @@
 #include "codegen/generate.hh"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "pres/fm.hh"
 #include "support/failpoint.hh"
+#include "support/intmath.hh"
 #include "support/logging.hh"
 
 namespace polyfuse {
@@ -48,6 +50,22 @@ struct GenCtx
      *  order, so an entry's index is its id. Shared across the copied
      *  contexts of sibling branches on purpose. */
     std::vector<GeneratedBand> *bands = nullptr;
+    /** Rows `coeffs . (vars, params) + constant >= 0` that the
+     *  enclosing loops' bounds guarantee on every iteration, in
+     *  normalized form (see addLoopFacts). */
+    std::vector<GuardRow> facts;
+    /** Simplification tallies of the whole scan (never null). */
+    GenStats *stats = nullptr;
+    /** Tensors the enclosing extensions promote to scratchpads. */
+    std::set<int> promoting;
+    /** (Stmt node, read access index) pairs of reads of a promoted
+     *  tensor proven to see only values written earlier in the same
+     *  scope (see coverSequenceReads). Shared across the copies. */
+    std::set<std::pair<const AstNode *, int>> *coveredReads = nullptr;
+    /** Statements an extension node re-scoped after they were already
+     *  active: their rows above that node over-approximate what they
+     *  execute, so they never serve as a covering writer. Shared. */
+    std::set<int> *extended = nullptr;
 };
 
 unsigned
@@ -168,6 +186,125 @@ boundsOf(const GenCtx &ctx, const StmtCtx &sc, int var, BoundAlt &lo,
     if (lo.empty() || hi.empty())
         return BoundStatus::Unbounded;
     return BoundStatus::Ok;
+}
+
+/**
+ * Drop repeated terms within each alternative, then every alternative
+ * whose term set contains another's (duplicates included, the first
+ * kept). A lower bound is the min over alternatives of the max over
+ * terms, and a superset's max is never below its subset's, so the
+ * superset never wins the min; the upper bound is the mirror image.
+ * The bound's value is unchanged.
+ */
+void
+dedupBound(std::vector<BoundAlt> &alts)
+{
+    for (BoundAlt &alt : alts) {
+        BoundAlt kept;
+        for (BoundTerm &t : alt)
+            if (std::find(kept.begin(), kept.end(), t) == kept.end())
+                kept.push_back(std::move(t));
+        alt = std::move(kept);
+    }
+    auto subset = [](const BoundAlt &a, const BoundAlt &b) {
+        for (const BoundTerm &t : a)
+            if (std::find(b.begin(), b.end(), t) == b.end())
+                return false;
+        return true;
+    };
+    std::vector<BoundAlt> kept;
+    for (size_t i = 0; i < alts.size(); ++i) {
+        bool redundant = false;
+        for (size_t j = 0; j < alts.size() && !redundant; ++j)
+            redundant = j != i && subset(alts[j], alts[i]) &&
+                        (j < i || !subset(alts[i], alts[j]));
+        if (!redundant)
+            kept.push_back(alts[i]);
+    }
+    alts = std::move(kept);
+}
+
+/** Divide @p g's variable and parameter coefficients by their GCD,
+ *  flooring the constant (exact on integer points); false when the
+ *  row has no variable or parameter left. */
+bool
+normalizeGuard(GuardRow &g)
+{
+    int64_t d = 0;
+    for (int64_t c : g.varCoeffs)
+        d = gcd(d, c);
+    for (int64_t c : g.paramCoeffs)
+        d = gcd(d, c);
+    if (d == 0)
+        return false;
+    for (int64_t &c : g.varCoeffs)
+        c /= d;
+    for (int64_t &c : g.paramCoeffs)
+        c /= d;
+    g.constant = floorDiv(g.constant, d);
+    return true;
+}
+
+/**
+ * The fact bound term @p t of loop var @p var guarantees: a lower term
+ * gives `div * var - t >= 0`, an upper term `t - div * var >= 0`.
+ */
+GuardRow
+loopFact(const BoundTerm &t, int var, bool is_lower)
+{
+    int64_t sign = is_lower ? -1 : 1;
+    GuardRow f;
+    f.varCoeffs = t.varCoeffs;
+    f.paramCoeffs = t.paramCoeffs;
+    f.constant = sign * t.constant;
+    for (int64_t &c : f.varCoeffs)
+        c *= sign;
+    for (int64_t &c : f.paramCoeffs)
+        c *= sign;
+    f.varCoeffs[var] -= sign * t.div;
+    return f;
+}
+
+/**
+ * Record on @p ctx the facts of @p loop: every term that appears in
+ * all alternatives of a bound holds on every iteration, because the
+ * loop bound is the min (lower) or max (upper) over alternatives.
+ */
+void
+addLoopFacts(GenCtx &ctx, const AstNode &loop)
+{
+    for (bool is_lower : {true, false}) {
+        const std::vector<BoundAlt> &alts = is_lower ? loop.lb : loop.ub;
+        for (const BoundTerm &t : alts.front()) {
+            bool everywhere = std::all_of(
+                alts.begin() + 1, alts.end(), [&](const BoundAlt &a) {
+                    return std::find(a.begin(), a.end(), t) != a.end();
+                });
+            GuardRow f = loopFact(t, loop.var, is_lower);
+            if (everywhere && normalizeGuard(f))
+                ctx.facts.push_back(std::move(f));
+        }
+    }
+}
+
+/** True when some fact has @p g's normalized coefficients and a
+ *  constant no larger than its own, so `g >= 0` always holds. */
+bool
+impliedByFacts(const std::vector<GuardRow> &facts, GuardRow g)
+{
+    if (g.isEq || !normalizeGuard(g))
+        return false;
+    for (const GuardRow &f : facts) {
+        // Facts predate inner loops: missing trailing vars are zero.
+        bool same = f.paramCoeffs == g.paramCoeffs &&
+                    f.constant <= g.constant;
+        for (size_t v = 0; same && v < g.varCoeffs.size(); ++v)
+            same = g.varCoeffs[v] ==
+                   (v < f.varCoeffs.size() ? f.varCoeffs[v] : 0);
+        if (same)
+            return true;
+    }
+    return false;
 }
 
 AstPtr genNode(const NodePtr &node, GenCtx ctx,
@@ -308,6 +445,9 @@ genBand(const NodePtr &band, GenCtx ctx, const GenOptions &options)
                 bands->pop_back();
             return astBlock();
         }
+        dedupBound(loop->lb);
+        dedupBound(loop->ub);
+        addLoopFacts(ctx, *loop);
 
         if (!outer) {
             outer = loop;
@@ -333,6 +473,284 @@ genBand(const NodePtr &band, GenCtx ctx, const GenOptions &options)
     return outer;
 }
 
+/** The scanning context of active statement @p stmt (null when the
+ *  statement is not active here). */
+const StmtCtx *
+activeCtx(const GenCtx &ctx, int stmt)
+{
+    for (const auto &c : ctx.active)
+        if (c.stmt == stmt)
+            return &c;
+    return nullptr;
+}
+
+/**
+ * @p sc's instances joined with access @p acc to a rank-@p rank
+ * tensor: rows over [vars | dims | tensor dims | params | 1], or over
+ * [vars | dims | tensor dims | 1] with @p fix_params, which folds the
+ * program's parameter values into the constants.
+ */
+std::vector<Constraint>
+accessSystem(const GenCtx &ctx, const StmtCtx &sc, const ir::Access &acc,
+             unsigned rank, bool fix_params = false)
+{
+    const auto &params = ctx.prog->params();
+    unsigned np = numParams(ctx);
+    unsigned nd = sc.ndims;
+    unsigned pcol = ctx.numVars + nd + rank;
+    unsigned total = pcol + (fix_params ? 0 : np) + 1;
+    // Adds parameter q's coefficient @p c to @p row.
+    auto param = [&](Constraint &row, unsigned q, int64_t c) {
+        if (!fix_params)
+            row.coeffs[pcol + q] = c;
+        else if (c != 0)
+            row.coeffs.back() = checkedAdd(
+                row.coeffs.back(),
+                checkedMul(c, ctx.prog->paramValue(params[q])));
+    };
+    std::vector<Constraint> rows;
+    for (const auto &r : sc.rows) {
+        Constraint row(r.isEq, pres::CoeffRow(total, 0));
+        for (unsigned i = 0; i < ctx.numVars + nd; ++i)
+            row.coeffs[i] = r.coeffs[i];
+        row.coeffs.back() = r.coeffs.back();
+        for (unsigned q = 0; q < np; ++q)
+            param(row, q, r.coeffs[ctx.numVars + nd + q]);
+        rows.push_back(std::move(row));
+    }
+    const pres::Space &asp = acc.rel.space();
+    for (const auto &c : acc.rel.constraints()) {
+        Constraint row(c.isEq, pres::CoeffRow(total, 0));
+        for (unsigned i = 0; i < nd; ++i)
+            row.coeffs[ctx.numVars + i] = c.coeffs[asp.inCol(i)];
+        for (unsigned j = 0; j < rank; ++j)
+            row.coeffs[ctx.numVars + nd + j] = c.coeffs[asp.outCol(j)];
+        row.coeffs.back() = c.constant();
+        for (unsigned p = 0; p < asp.numParams(); ++p) {
+            int idx = -1;
+            for (unsigned q = 0; q < np; ++q)
+                if (params[q] == asp.params()[p])
+                    idx = q;
+            if (idx < 0)
+                panic("access parameter not in program");
+            param(row, unsigned(idx), c.coeffs[asp.paramCol(p)]);
+        }
+        rows.push_back(std::move(row));
+    }
+    return rows;
+}
+
+/** False only when FM proves @p rows have no integer point. */
+bool
+feasible(const GenCtx &ctx, std::vector<Constraint> rows)
+{
+    bool exact = true;
+    if (rows.empty())
+        return true;
+    for (unsigned c = rows[0].coeffs.size() - 1; c-- > 0;)
+        if (!pres::fm::eliminateCol(*ctx.pres, rows, c, exact))
+            return false;
+    return true;
+}
+
+/** Append the Stmt nodes under @p n to @p out in execution order. */
+void
+collectStmts(const AstPtr &n, std::vector<const AstNode *> &out)
+{
+    if (!n)
+        return;
+    if (n->kind == AstKind::Stmt)
+        out.push_back(n.get());
+    for (const auto &c : n->children)
+        collectStmts(c, out);
+}
+
+/** True when @p e loads tensor @p t through a LoadIdx. */
+bool
+loadsIndirect(const ir::ExprPtr &e, int t)
+{
+    if (!e)
+        return false;
+    if (e->kind == ir::Expr::Kind::LoadIdx && e->tensor == t)
+        return true;
+    for (const auto &a : e->args)
+        if (loadsIndirect(a, t))
+            return true;
+    return false;
+}
+
+/**
+ * The elements access @p acc of @p sc touches, as rows over
+ * [vars | tensor dims | 1] with the parameters fixed to the program's
+ * values. @p exact is cleared when projecting out the statement's
+ * dims may over-approximate; false when no instance performs it.
+ */
+bool
+footprint(const GenCtx &ctx, const StmtCtx &sc, const ir::Access &acc,
+          std::vector<Constraint> &rows, bool &exact)
+{
+    rows = accessSystem(ctx, sc, acc, ctx.prog->tensor(acc.tensor).rank,
+                        true);
+    for (unsigned d = sc.ndims; d-- > 0;)
+        if (!pres::fm::eliminateCol(*ctx.pres, rows, ctx.numVars + d,
+                                    exact))
+            return false;
+    return true;
+}
+
+/** The exact footprint of @p pc's write when it writes tensor @p t
+ *  through an affine access; empty when there is none or the
+ *  projection may over-approximate. */
+std::vector<Constraint>
+writeFootprint(const GenCtx &ctx, const StmtCtx &pc, int t)
+{
+    const Statement &p = ctx.prog->statement(pc.stmt);
+    std::vector<Constraint> rows;
+    bool exact = true;
+    if (p.writeIndex() < 0 || p.writeAccess().tensor != t ||
+        !p.writeAccess().hasExprs ||
+        !footprint(ctx, pc, p.writeAccess(), rows, exact) || !exact)
+        return {};
+    return rows;
+}
+
+/** True when some row of @p rows states @p w outright: the same
+ *  coefficients (either sign for an equality row) and a constant
+ *  that makes @p w follow. */
+bool
+rowStated(const std::vector<Constraint> &rows, const Constraint &w)
+{
+    const size_t n = w.coeffs.size() - 1;
+    for (const Constraint &r : rows) {
+        for (int64_t sign : {int64_t(1), int64_t(-1)}) {
+            if (sign < 0 && !r.isEq)
+                continue;
+            bool same = true;
+            for (size_t i = 0; same && i < n; ++i)
+                same = sign * r.coeffs[i] == w.coeffs[i];
+            int64_t c = sign * r.coeffs[n];
+            if (same && (w.isEq ? r.isEq && c == w.coeffs[n]
+                                : c <= w.coeffs[n]))
+                return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * True when footprint @p read lies inside footprint @p written (both
+ * over [vars | tensor dims | 1]): `read ∧ ¬w` is infeasible for every
+ * row w of @p written, with the loop vars free. Rows @p read states
+ * outright skip the FM run.
+ */
+bool
+footprintCovers(const GenCtx &ctx, const std::vector<Constraint> &written,
+                const std::vector<Constraint> &read)
+{
+    if (written.empty())
+        return false;
+    for (const Constraint &w : written) {
+        if (rowStated(read, w))
+            continue;
+        // ¬(w >= 0) is -w - 1 >= 0; an equality fails either way.
+        for (int64_t side : {int64_t(-1), int64_t(1)}) {
+            if (side > 0 && !w.isEq)
+                continue;
+            Constraint neg(false, w.coeffs);
+            for (int64_t &c : neg.coeffs)
+                c *= side;
+            neg.coeffs.back() -= 1;
+            std::vector<Constraint> rows = read;
+            rows.push_back(std::move(neg));
+            if (feasible(ctx, std::move(rows)))
+                return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * Record in ctx.coveredReads the reads of promoted tensors under
+ * @p block (a sequence, or a leaf's statement list) that see only
+ * values written earlier in the same scope. A read by S in child j
+ * qualifies when the write footprint of some statement P != S in an
+ * earlier child contains S's read footprint, both taken per
+ * iteration of the loops enclosing @p block: P's child completes
+ * before S's starts, so every element S reads was written first.
+ */
+void
+coverSequenceReads(const GenCtx &ctx, const AstNode &block)
+{
+    std::vector<const StmtCtx *> before; // writers of earlier children
+    std::map<std::pair<int, int>, std::vector<Constraint>> written;
+    for (const AstPtr &child : block.children) {
+        std::vector<const AstNode *> stmts;
+        collectStmts(child, stmts);
+        for (const AstNode *n : stmts) {
+            const StmtCtx *sc = activeCtx(ctx, n->stmt);
+            if (!sc)
+                continue; // introduced below: checked there
+            const Statement &s = ctx.prog->statement(n->stmt);
+            for (int ri : s.readIndices()) {
+                const ir::Access &acc = s.accesses()[ri];
+                if (!ctx.promoting.count(acc.tensor) || !acc.hasExprs ||
+                    ctx.coveredReads->count({n, ri}))
+                    continue;
+                std::vector<const std::vector<Constraint> *> writers;
+                for (const StmtCtx *pc : before) {
+                    auto [it, fresh] =
+                        written.try_emplace({pc->stmt, acc.tensor});
+                    if (fresh)
+                        it->second = writeFootprint(ctx, *pc, acc.tensor);
+                    if (pc->stmt != sc->stmt && !it->second.empty())
+                        writers.push_back(&it->second);
+                }
+                if (writers.empty())
+                    continue;
+                // An over-approximated read keeps the proof sound
+                // (exact is not needed); a read no instance performs
+                // is trivially covered.
+                std::vector<Constraint> read;
+                bool exact = true;
+                bool covered = !footprint(ctx, *sc, acc, read, exact);
+                for (size_t i = 0; !covered && i < writers.size(); ++i)
+                    covered = footprintCovers(ctx, *writers[i], read);
+                if (covered)
+                    ctx.coveredReads->insert({n, ri});
+            }
+        }
+        for (const AstNode *n : stmts) {
+            const StmtCtx *pc = activeCtx(ctx, n->stmt);
+            if (pc && !ctx.extended->count(n->stmt))
+                before.push_back(pc);
+        }
+    }
+}
+
+/**
+ * True when the copy-in of tensor @p t into the scratchpad scope over
+ * @p body is dead: every read of t under the scope is affine and was
+ * recorded covered by a sequence inside the scope (coverSequenceReads
+ * runs on inner sequences before their enclosing extension finishes).
+ * Reads through LoadIdx keep the copy-in.
+ */
+bool
+copyInDead(const GenCtx &ctx, int t, const AstPtr &body)
+{
+    std::vector<const AstNode *> stmts;
+    collectStmts(body, stmts);
+    for (const AstNode *n : stmts) {
+        const Statement &s = ctx.prog->statement(n->stmt);
+        if (loadsIndirect(s.body(), t))
+            return false;
+        for (int ri : s.readIndices())
+            if (s.accesses()[ri].tensor == t &&
+                !ctx.coveredReads->count({n, ri}))
+                return false;
+    }
+    return true;
+}
+
 /** Introduce extension statements; optionally add promotion scopes. */
 AstPtr
 genExtension(const NodePtr &node, GenCtx ctx, const GenOptions &options)
@@ -353,6 +771,9 @@ genExtension(const NodePtr &node, GenCtx ctx, const GenOptions &options)
             ctx.active.push_back(freshStmtCtx(ctx, stmt_id));
             sc = &ctx.active.back();
             ext_stmts.push_back(stmt_id);
+        } else if (std::find(ext_stmts.begin(), ext_stmts.end(),
+                             stmt_id) == ext_stmts.end()) {
+            ctx.extended->insert(stmt_id);
         }
         // Translate map rows: in dims -> band var columns, out dims
         // -> statement dim columns.
@@ -382,24 +803,27 @@ genExtension(const NodePtr &node, GenCtx ctx, const GenOptions &options)
     // NOTE: the composition pass guarantees one convex piece per
     // statement (simpleHull), so appending the rows above is exact.
 
-    AstPtr body = genNode(node->onlyChild(), ctx, options);
-
-    if (!options.promoteIntermediates || ext_stmts.empty())
-        return body;
-
     // Promotion scopes for Temp tensors written by the introduced
     // statements: box bounds of the writes as functions of the
     // enclosing loop vars (Sec. V-B).
-    AstPtr alloc = astAlloc();
     std::set<int> tensors;
-    for (int sid : ext_stmts) {
-        const Statement &s = ctx.prog->statement(sid);
-        if (s.writeIndex() < 0)
-            continue;
-        int t = s.writeAccess().tensor;
-        if (ctx.prog->tensor(t).kind == ir::TensorKind::Temp)
-            tensors.insert(t);
+    if (options.promoteIntermediates) {
+        for (int sid : ext_stmts) {
+            const Statement &s = ctx.prog->statement(sid);
+            if (s.writeIndex() < 0)
+                continue;
+            int t = s.writeAccess().tensor;
+            if (ctx.prog->tensor(t).kind == ir::TensorKind::Temp)
+                tensors.insert(t);
+        }
     }
+    ctx.promoting.insert(tensors.begin(), tensors.end());
+
+    AstPtr body = genNode(node->onlyChild(), ctx, options);
+    if (tensors.empty())
+        return body;
+
+    AstPtr alloc = astAlloc();
     for (int t : tensors) {
         Promotion promo;
         promo.tensor = t;
@@ -418,53 +842,10 @@ genExtension(const NodePtr &node, GenCtx ctx, const GenOptions &options)
                     touching.emplace_back(c.stmt, &acc);
         }
         for (const auto &[sid, accp] : touching) {
-            const ir::Access &acc = *accp;
-            StmtCtx *sc = nullptr;
-            for (auto &c : ctx.active)
-                if (c.stmt == sid)
-                    sc = &c;
-            // System over [vars, dims, tdims, params, 1].
-            unsigned base = sc->rows.empty()
-                                ? 0
-                                : sc->rows[0].coeffs.size();
-            (void)base;
-            std::vector<Constraint> rows;
-            unsigned nd = sc->ndims;
-            unsigned total = ctx.numVars + nd + rank + np + 1;
-            for (const auto &r : sc->rows) {
-                Constraint row(r.isEq,
-                               pres::CoeffRow(total, 0));
-                for (unsigned i = 0; i < ctx.numVars + nd; ++i)
-                    row.coeffs[i] = r.coeffs[i];
-                for (unsigned p = 0; p < np + 1; ++p)
-                    row.coeffs[ctx.numVars + nd + rank + p] =
-                        r.coeffs[ctx.numVars + nd + p];
-                rows.push_back(std::move(row));
-            }
-            // Access relation rows.
-            const pres::Space &asp = acc.rel.space();
-            for (const auto &c : acc.rel.constraints()) {
-                Constraint row(c.isEq,
-                               pres::CoeffRow(total, 0));
-                for (unsigned i = 0; i < nd; ++i)
-                    row.coeffs[ctx.numVars + i] =
-                        c.coeffs[asp.inCol(i)];
-                for (unsigned j = 0; j < rank; ++j)
-                    row.coeffs[ctx.numVars + nd + j] =
-                        c.coeffs[asp.outCol(j)];
-                for (unsigned p = 0; p < asp.numParams(); ++p) {
-                    int idx = -1;
-                    for (unsigned q = 0; q < np; ++q)
-                        if (ctx.prog->params()[q] == asp.params()[p])
-                            idx = q;
-                    if (idx < 0)
-                        panic("access parameter not in program");
-                    row.coeffs[ctx.numVars + nd + rank + idx] =
-                        c.coeffs[asp.paramCol(p)];
-                }
-                row.coeffs.back() = c.constant();
-                rows.push_back(std::move(row));
-            }
+            const StmtCtx &sc = *activeCtx(ctx, sid);
+            unsigned nd = sc.ndims;
+            std::vector<Constraint> rows =
+                accessSystem(ctx, sc, *accp, rank);
             // Eliminate the statement dims.
             bool exact = true;
             bool empty = false;
@@ -530,11 +911,18 @@ genExtension(const NodePtr &node, GenCtx ctx, const GenOptions &options)
             }
         }
         bool complete = true;
-        for (unsigned j = 0; j < rank; ++j)
+        for (unsigned j = 0; j < rank; ++j) {
             if (promo.boxLo[j].empty() || promo.boxHi[j].empty())
                 complete = false;
-        if (complete)
-            alloc->promotions.push_back(std::move(promo));
+            dedupBound(promo.boxLo[j]);
+            dedupBound(promo.boxHi[j]);
+        }
+        if (!complete)
+            continue;
+        promo.copyIn = !copyInDead(ctx, t, body);
+        if (!promo.copyIn)
+            ++ctx.stats->copyInsElided;
+        alloc->promotions.push_back(std::move(promo));
     }
     if (alloc->promotions.empty())
         return body;
@@ -579,10 +967,15 @@ genLeaf(GenCtx &ctx)
             for (unsigned p = 0; p < np; ++p)
                 g.paramCoeffs[p] = row.coeffs[ctx.numVars + sc.ndims + p];
             g.constant = row.coeffs.back();
-            stmt->guards.push_back(std::move(g));
+            if (impliedByFacts(ctx.facts, g))
+                ++ctx.stats->guardsPruned;
+            else
+                stmt->guards.push_back(std::move(g));
         }
         block->children.push_back(std::move(stmt));
     }
+    if (!ctx.promoting.empty())
+        coverSequenceReads(ctx, *block);
     return block;
 }
 
@@ -618,6 +1011,8 @@ genNode(const NodePtr &node, GenCtx ctx, const GenOptions &options)
                          sub->children.empty()))
                 block->children.push_back(std::move(sub));
         }
+        if (!ctx.promoting.empty())
+            coverSequenceReads(ctx, *block);
         return block;
       }
       case NodeKind::Mark: {
@@ -660,14 +1055,21 @@ generateAst(const schedule::ScheduleTree &tree,
 AstPtr
 generateAst(const schedule::ScheduleTree &tree,
             const GenOptions &options,
-            std::vector<GeneratedBand> &bands)
+            std::vector<GeneratedBand> &bands, GenStats *stats)
 {
     failpoints::hit("codegen.generate");
     bands.clear();
+    GenStats local;
+    std::set<std::pair<const AstNode *, int>> covered_reads;
+    std::set<int> extended;
     GenCtx ctx;
+    ctx.coveredReads = &covered_reads;
+    ctx.extended = &extended;
     ctx.prog = &tree.program();
     ctx.pres = &pres::fm::activeCtx();
     ctx.bands = &bands;
+    ctx.stats = stats ? stats : &local;
+    *ctx.stats = GenStats{};
     // Enforce an armed budget / tripped cancel token up front; the
     // scan below re-checks through every eliminateCol it performs.
     pres::fm::checkBudget(*ctx.pres, "codegen::generateAst");

@@ -73,15 +73,27 @@ struct GeneratedBand
     std::vector<int> localTensors;
 };
 
+/** What one generateAst call simplified away. */
+struct GenStats
+{
+    /** Guard rows dropped because an enclosing loop bound implies
+     *  them (they could never fail). */
+    int64_t guardsPruned = 0;
+    /** Promotions whose copy-in was proven dead (copyIn == false). */
+    int64_t copyInsElided = 0;
+};
+
 /** Generate the imperative AST of @p tree. */
 AstPtr generateAst(const schedule::ScheduleTree &tree,
                    const GenOptions &options = {});
 
 /** As above, additionally filling @p bands with one record per tiled
- *  band, indexed by the `bandId` on the emitted tile loops. */
+ *  band, indexed by the `bandId` on the emitted tile loops, and
+ *  (when non-null) @p stats. */
 AstPtr generateAst(const schedule::ScheduleTree &tree,
                    const GenOptions &options,
-                   std::vector<GeneratedBand> &bands);
+                   std::vector<GeneratedBand> &bands,
+                   GenStats *stats = nullptr);
 
 } // namespace codegen
 } // namespace polyfuse

@@ -374,7 +374,9 @@ Pipeline::runOnce(const ir::Program &program, CompileContext &ctx,
     });
 
     runPass("Codegen", [&](PassStat &ps) {
-        st.ast = codegen::generateAst(st.tree, opt.gen, st.genBands);
+        codegen::GenStats gen;
+        st.ast = codegen::generateAst(st.tree, opt.gen, st.genBands,
+                                      &gen);
         int64_t nodes = 0, loops = 0, stmts = 0, allocs = 0;
         countAstNodes(st.ast, nodes, loops, stmts, allocs);
         ps.counters.emplace_back("ast_nodes", nodes);
@@ -383,6 +385,8 @@ Pipeline::runOnce(const ir::Program &program, CompileContext &ctx,
         ps.counters.emplace_back("allocs", allocs);
         ps.counters.emplace_back("tile_bands",
                                  int64_t(st.genBands.size()));
+        ps.counters.emplace_back("guards_pruned", gen.guardsPruned);
+        ps.counters.emplace_back("copyins_elided", gen.copyInsElided);
     });
 
     runPass("TileGraph", [&](PassStat &ps) {

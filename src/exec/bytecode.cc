@@ -180,6 +180,7 @@ struct PromoC
     int32_t rank = 0;
     /** 2 * rank Bounds in Image::boxBounds: lo dims then hi dims. */
     int32_t boxBase = 0;
+    bool copyIn = true; ///< codegen::Promotion::copyIn
 };
 
 struct AllocC
@@ -582,6 +583,7 @@ class Compiler
                 if (pc.rank > int32_t(kMaxRank))
                     fatal("bytecode: promotion rank exceeds limit");
                 pc.boxBase = int32_t(img_.boxBounds.size());
+                pc.copyIn = promo.copyIn;
                 for (const auto &lo : promo.boxLo)
                     img_.boxBounds.push_back(makeBound(lo));
                 for (const auto &hi : promo.boxHi)
@@ -754,7 +756,9 @@ struct State
     std::vector<double *> accBase;
     std::vector<int32_t> accSpace;
     std::vector<std::vector<Storage>> storage;     ///< per tensor
-    std::vector<std::vector<std::vector<double>>> scratch;
+    /** Per promotion: its scratchpad, reused by every entry of the
+     *  scope and grown to the largest box seen. */
+    std::vector<std::vector<double>> scratch;
     std::vector<double> stack;
     /** Vectorized fast path: kSimdWidth lanes per stack slot (empty
      *  unless the machine runs with SIMD enabled). */
@@ -791,7 +795,7 @@ class Machine
         st_.accBase.assign(img.accesses.size(), nullptr);
         st_.accSpace.assign(img.accesses.size(), 0);
         st_.storage.resize(img.numTensors);
-        st_.scratch.resize(img.numTensors);
+        st_.scratch.resize(img.promos.size());
         st_.stack.assign(std::max(img.maxStack, 1), 0.0);
         if (simd_)
             st_.vecStack.assign(
@@ -1660,12 +1664,14 @@ class Machine
                                    : s.strides[d + 1] *
                                          std::max<int64_t>(
                                              s.extents[d + 1], 0);
-            std::vector<double> data(
-                size_t(std::max<int64_t>(size, 0)), 0.0);
+            // No zero-fill: a live copy-in overwrites the whole box,
+            // and a dead one is never observed.
+            std::vector<double> &data = st_.scratch[size_t(p)];
+            if (int64_t(data.size()) < size)
+                data.resize(size_t(size));
             s.base = data.data();
-            if (size > 0)
-                copyIn(pc, s, data);
-            st_.scratch[pc.tensor].push_back(std::move(data));
+            if (size > 0 && pc.copyIn)
+                copyIn(pc, s, data.data(), size);
             st_.storage[pc.tensor].push_back(s);
             for (int32_t a : img_.accessesByTensor[pc.tensor])
                 refold(a);
@@ -1675,12 +1681,10 @@ class Machine
     /** Copy-in: producers may read live input values. Reads the
      *  global buffer directly (no trace), like the interpreter. */
     void
-    copyIn(const PromoC &pc, const Storage &s,
-           std::vector<double> &data)
+    copyIn(const PromoC &pc, const Storage &s, double *data, int64_t n)
     {
         const auto &global = buffers_.data(pc.tensor);
         const auto &gstr = buffers_.strides(pc.tensor);
-        int64_t n = int64_t(data.size());
         for (int64_t i = 0; i < n; ++i) {
             int64_t rem = i, goff = 0;
             for (int32_t d = pc.rank; d-- > 0;) {
@@ -1688,7 +1692,7 @@ class Machine
                 rem /= s.extents[d];
                 goff += coord * gstr[d];
             }
-            data[size_t(i)] = global[size_t(goff)];
+            data[i] = global[size_t(goff)];
         }
     }
 
@@ -1698,7 +1702,6 @@ class Machine
         for (int32_t p = al.promoBegin; p < al.promoEnd; ++p) {
             const PromoC &pc = img_.promos[p];
             st_.storage[pc.tensor].pop_back();
-            st_.scratch[pc.tensor].pop_back();
             for (int32_t a : img_.accessesByTensor[pc.tensor])
                 refold(a);
         }

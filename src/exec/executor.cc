@@ -372,8 +372,9 @@ class Machine
             }
             s.data.assign(std::max<int64_t>(size, 0), 0.0);
             // Copy-in: producers may read live input values (e.g.
-            // in-place quantization).
-            if (size > 0)
+            // in-place quantization). Skipped when codegen proved
+            // every read under the scope sees an in-scope write.
+            if (size > 0 && promo.copyIn)
                 copyIn(promo.tensor, s);
             scratch_[promo.tensor].push_back(std::move(s));
         }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -47,7 +48,17 @@ const char *const kHelperPreamble =
     "static inline int64_t pf_fdiv(int64_t n, int64_t d)\n"
     "{ return n >= 0 ? n / d : -((-n + d - 1) / d); }\n"
     "static inline int64_t pf_cdiv(int64_t n, int64_t d)\n"
-    "{ return pf_fdiv(n + d - 1, d); }\n";
+    "{ return pf_fdiv(n + d - 1, d); }\n"
+    "static inline double *pf_grow(double **arena, int64_t *cap,\n"
+    "                              int64_t size)\n"
+    "{\n"
+    "  if (size > *cap) {\n"
+    "    free(*arena);\n"
+    "    *arena = (double *)malloc((size_t)size * sizeof(double));\n"
+    "    *cap = size;\n"
+    "  }\n"
+    "  return *arena;\n"
+    "}\n";
 
 /** Render a double so the C compiler reparses the exact bits. */
 std::string
@@ -115,7 +126,7 @@ class Emitter
         // Parameters can be unused when codegen folded them away.
         for (const auto &name : prog_.params())
             line(1) << "(void)" << name << ";\n";
-        visit(ast, 1);
+        arenaScope(1, [&] { visit(ast, 1); });
         os_ << "}\n";
         return os_.str();
     }
@@ -132,6 +143,34 @@ class Emitter
     {
         os_ << std::string(depth * 2, ' ');
         return os_;
+    }
+
+    /**
+     * Emit @p body at @p depth between the declarations and the
+     * release of the scratchpad arenas its Alloc scopes use: one
+     * arena per promotion for the kernel call (the outermost scope)
+     * or for one tile-team worker, grown by pf_grow when a tile's box
+     * outgrows it and reused by every later tile. The arena must stay
+     * a local of the worker: a shared or thread-local one is slower
+     * or races.
+     */
+    void
+    arenaScope(unsigned depth, const std::function<void()> &body)
+    {
+        arenas_.emplace_back();
+        std::ostringstream inner;
+        std::swap(os_, inner);
+        body();
+        std::swap(os_, inner);
+        for (const std::string &tag : arenas_.back())
+            line(depth) << "double *pf_arena_" << tag
+                        << " = 0;\n";
+        for (const std::string &tag : arenas_.back())
+            line(depth) << "int64_t pf_cap_" << tag << " = 0;\n";
+        os_ << inner.str();
+        for (const std::string &tag : arenas_.back())
+            line(depth) << "free(pf_arena_" << tag << ");\n";
+        arenas_.pop_back();
     }
 
     void
@@ -429,16 +468,15 @@ class Emitter
                 sc.lo.push_back(lo);
                 sc.ext.push_back(ext);
             }
-            line(depth) << "double *" << sc.buf
-                        << " = (double *)calloc((size_t)(" << size
-                        << " > 0 ? " << size << " : 1), "
-                        << "sizeof(double));\n";
-            // Copy-in from the *currently active* storage view of
-            // the tensor -- which is the global buffer, matching the
-            // interpreter (promotions never nest per tensor today,
-            // and copyIn always reads the global buffer).
-            line(depth) << "if (" << size << " > 0) {\n";
-            {
+            arenas_.back().push_back(tag);
+            line(depth) << "double *" << sc.buf << " = pf_grow(&pf_arena_"
+                        << tag << ", &pf_cap_" << tag << ", " << size
+                        << ");\n";
+            // Copy-in from the global buffer, matching the
+            // interpreter (promotions never nest per tensor today);
+            // codegen drops it when no read can observe it.
+            if (promo.copyIn) {
+                line(depth) << "if (" << size << " > 0) {\n";
                 unsigned d2 = depth + 1;
                 std::vector<std::string> idx;
                 for (unsigned d = 0; d < rank; ++d) {
@@ -453,8 +491,8 @@ class Emitter
                 }
                 line(d2) << scratchRef(sc, idx) << " = "
                          << globalRef(promo.tensor, idx) << ";\n";
+                line(depth) << "}\n";
             }
-            line(depth) << "}\n";
             scratch_[promo.tensor].push_back(std::move(sc));
             pushed.push_back(promo.tensor);
         }
@@ -465,11 +503,8 @@ class Emitter
         for (const auto &c : n.children)
             visit(c, depth);
         --nest_;
-        for (auto it = pushed.rbegin(); it != pushed.rend(); ++it) {
-            line(depth) << "free("
-                        << scratch_[*it].back().buf << ");\n";
-            scratch_[*it].pop_back();
-        }
+        for (int tensor : pushed)
+            scratch_[tensor].pop_back();
         --depth;
         line(depth) << "}\n";
     }
@@ -574,12 +609,18 @@ class Emitter
     emitOmpFor(const AstNode &n, const std::string &v,
                unsigned depth)
     {
-        line(depth) << "#pragma omp parallel for num_threads("
-                    << threads_ << ") schedule(static)\n";
-        line(depth) << "for (int64_t " << v << " = " << v << "_lb; "
-                    << v << " <= " << v << "_ub; ++" << v << ") {\n";
-        for (const auto &c : n.children)
-            visit(c, depth + 1);
+        line(depth) << "#pragma omp parallel num_threads(" << threads_
+                    << ")\n";
+        line(depth) << "{\n";
+        arenaScope(depth + 1, [&] {
+            line(depth + 1) << "#pragma omp for schedule(static)\n";
+            line(depth + 1) << "for (int64_t " << v << " = " << v
+                            << "_lb; " << v << " <= " << v << "_ub; ++"
+                            << v << ") {\n";
+            for (const auto &c : n.children)
+                visit(c, depth + 2);
+            line(depth + 1) << "}\n";
+        });
         line(depth) << "}\n";
     }
 
@@ -606,11 +647,13 @@ class Emitter
                     << "_ub - " << v << "_lb + 1;\n";
         line(depth) << "const auto " << body
                     << " = [&](int64_t pf_b, int64_t pf_e) {\n";
-        line(depth + 1) << "for (int64_t " << v << " = pf_b; " << v
-                        << " <= pf_e; ++" << v << ") {\n";
-        for (const auto &c : n.children)
-            visit(c, depth + 2);
-        line(depth + 1) << "}\n";
+        arenaScope(depth + 1, [&] {
+            line(depth + 1) << "for (int64_t " << v << " = pf_b; " << v
+                            << " <= pf_e; ++" << v << ") {\n";
+            for (const auto &c : n.children)
+                visit(c, depth + 2);
+            line(depth + 1) << "}\n";
+        });
         line(depth) << "};\n";
         line(depth) << "if (" << cnt << " > 1) {\n";
         {
@@ -656,6 +699,9 @@ class Emitter
     std::ostringstream os_;
     std::vector<std::string> var_names_;
     std::vector<std::vector<ScratchScope>> scratch_;
+    /** Per open arena scope (kernel call, then tile-team workers):
+     *  the tags of the promotions whose arenas it owns. */
+    std::vector<std::vector<std::string>> arenas_;
     int scope_id_ = 0;
     int team_id_ = 0;
     int nest_ = 0; ///< enclosing For/Alloc depth (0: top level)

@@ -45,9 +45,10 @@ namespace exec {
  * fully-parallel bands.
  *
  *   Seq     -- strictly sequential C (the classic Tier-2 kernel).
- *   Omp     -- C with `#pragma omp parallel for schedule(static)`
- *              on each eligible tile loop; needs a toolchain that
- *              accepts and links `-fopenmp`.
+ *   Omp     -- C with a `#pragma omp parallel` team and a
+ *              `#pragma omp for schedule(static)` over each eligible
+ *              tile loop; needs a toolchain that accepts and links
+ *              `-fopenmp`.
  *   Threads -- C++ with a generated std::thread chunked tile-team
  *              per eligible loop (the fallback when OpenMP is
  *              unavailable but a C++ compiler is); a failed thread
@@ -88,9 +89,12 @@ struct NativeOptions
  * `void pf_kernel(double **pf_bufs)` (with C linkage), where
  * `pf_bufs[t]` is the flat buffer of tensor t. Program parameters
  * are folded in as named `const int64_t` constants; scratchpad
- * promotions become calloc'ed locals with copy-in, scoped
- * lexically. Each statement's block opens with a comment naming the
- * statement, so statements stay identifiable in the text. With a
+ * promotions become lexically scoped views into arenas owned by the
+ * kernel call (or, inside a tile-team, by each worker), grown on
+ * demand and reused across tiles, filled by a copy-in only when
+ * codegen kept it. Each statement's block opens with a comment
+ * naming the statement, so statements stay identifiable in the
+ * text. With a
  * parallel @p mode, top-level tile loops of bands classified fully
  * parallel in @p bands get a tile-team;
  * @p regions_parallel / @p regions_sequential (optional) report how

@@ -3,13 +3,18 @@
  * Tests for AST generation on the convolution example: loop
  * structure, tile/point loops, guards, promotion scopes, parallel
  * loop marks, and the emitted C of Fig. 1(b)/Fig. 5 (the native
- * tier's translation unit). Every schedule is produced by the
- * driver's pass pipeline.
+ * tier's translation unit). On registry workloads: guard rows that
+ * enclosing loop bounds imply are pruned, loop bounds carry no
+ * repeated term or alternative, and the naive schedule runs exactly
+ * every domain point. Every schedule is produced by the driver's
+ * pass pipeline.
  */
 
 #include <gtest/gtest.h>
 
 #include "driver/pipeline.hh"
+#include "driver/registry.hh"
+#include "exec/bytecode.hh"
 #include "exec/native.hh"
 #include "workloads/conv2d.hh"
 
@@ -162,9 +167,11 @@ TEST_F(ConvCodegen, NativeSourceEmitsTilesAndScratchpad)
     // Tile-loop bounds divide by the tile size.
     EXPECT_NE(body.find("pf_fdiv("), std::string::npos);
     EXPECT_NE(body.find("/* S2 */"), std::string::npos);
-    // The intermediate lives in a calloc'ed tile-local scratchpad.
+    // The intermediate lives in a tile-local scratchpad carved from
+    // an arena the kernel allocates once, not per tile.
     EXPECT_NE(body.find("scratchpad for A"), std::string::npos);
-    EXPECT_NE(body.find("calloc("), std::string::npos);
+    EXPECT_NE(body.find("pf_grow(&pf_arena_"), std::string::npos);
+    EXPECT_EQ(body.find("calloc("), std::string::npos);
     // The skipped original S0 nest is not emitted on its own: S0
     // appears only once (inside the fused tile).
     size_t first = body.find("/* S0 */");
@@ -205,6 +212,158 @@ TEST_F(ConvCodegen, GuardsAppearForUnionBounds)
         };
     walk(state.ast);
     EXPECT_GT(guarded, 0u);
+}
+
+/** Compile registry workload @p name at @p rows x @p cols with its
+ *  default tiles; out-params the program. */
+driver::CompilationState
+compileWorkload(const char *name, driver::Strategy strategy,
+                int64_t rows, int64_t cols, ir::Program &p)
+{
+    const driver::WorkloadSpec *spec = driver::findWorkload(name);
+    EXPECT_NE(spec, nullptr);
+    p = spec->make({rows, cols});
+    driver::PipelineOptions opts;
+    opts.strategy = strategy;
+    opts.tileSizes = spec->defaultTiles;
+    return driver::Pipeline(opts).run(p);
+}
+
+/** The Stmt nodes of statement @p name under @p n. */
+void
+stmtNodes(const ir::Program &p, const AstPtr &n, const std::string &name,
+          std::vector<const AstNode *> &out)
+{
+    if (!n)
+        return;
+    if (n->kind == AstKind::Stmt && p.statement(n->stmt).name() == name)
+        out.push_back(n.get());
+    for (const auto &c : n->children)
+        stmtNodes(p, c, name, out);
+}
+
+TEST(GuardPruning, FusedUnsharpStatementsCarryNoGuards)
+{
+    // The fused consumers' rows only restate their loops' bounds.
+    ir::Program p;
+    auto state = compileWorkload("unsharp", driver::Strategy::Ours, 64,
+                                 128, p);
+    for (const char *name : {"Sbx", "Ssh", "Sm"}) {
+        std::vector<const AstNode *> nodes;
+        stmtNodes(p, state.ast, name, nodes);
+        ASSERT_FALSE(nodes.empty()) << name;
+        for (const AstNode *n : nodes)
+            EXPECT_TRUE(n->guards.empty()) << name;
+    }
+    const driver::PassStat *cg = state.stats.find("Codegen");
+    ASSERT_NE(cg, nullptr);
+    EXPECT_GT(cg->counter("guards_pruned"), 0);
+}
+
+TEST(GuardPruning, InterpUpsampleKeepsItsOwnRows)
+{
+    // Su4a-d share loops whose union bounds exceed their own domain:
+    // those rows are not implied and must stay.
+    ir::Program p;
+    auto state = compileWorkload("interp", driver::Strategy::Ours, 128,
+                                 256, p);
+    for (const char *name : {"Su4a", "Su4b", "Su4c", "Su4d"}) {
+        std::vector<const AstNode *> nodes;
+        stmtNodes(p, state.ast, name, nodes);
+        ASSERT_FALSE(nodes.empty()) << name;
+        for (const AstNode *n : nodes)
+            EXPECT_FALSE(n->guards.empty()) << name;
+    }
+}
+
+/** Reduced registry sizes (respecting per-workload alignment). */
+driver::WorkloadParams
+smallSize(const std::string &name)
+{
+    if (name == "equake")
+        return {96, 6};
+    if (name == "convbn")
+        return {4, 8};
+    if (name == "unsharp")
+        return {8, 32};
+    if (name == "bilateral")
+        return {24, 24};
+    if (name == "interp")
+        return {32, 32};
+    return {20, 20};
+}
+
+TEST(GuardPruning, NaiveInstancesMatchDomainCardinality)
+{
+    // Independent count oracle: the naive schedule runs every domain
+    // point once, so the executed instances must equal the sum of
+    // the domains' cardinalities enumerated by the Presburger layer
+    // (no codegen involved on this side).
+    for (const driver::WorkloadSpec &spec : driver::workloadRegistry()) {
+        SCOPED_TRACE(spec.name);
+        ir::Program p = spec.make(smallSize(spec.name));
+        uint64_t points = 0;
+        for (const ir::Statement &s : p.statements())
+            points += s.domain().enumerate(p.paramValues()).size();
+        driver::PipelineOptions opts;
+        opts.strategy = driver::Strategy::Naive;
+        auto state = driver::Pipeline(opts).run(p);
+        exec::BytecodeKernel kernel =
+            exec::BytecodeKernel::compile(p, state.ast);
+        exec::Buffers buf(p);
+        EXPECT_EQ(kernel.run(buf).instances, points);
+    }
+}
+
+/** Every bound of @p n and below: no alternative repeats a term, and
+ *  no alternative's terms include another alternative's. */
+void
+expectDedupedBounds(const AstPtr &n)
+{
+    if (!n)
+        return;
+    auto check = [](const std::vector<BoundAlt> &alts) {
+        auto within = [](const BoundAlt &a, const BoundAlt &b) {
+            for (const BoundTerm &t : a)
+                if (std::find(b.begin(), b.end(), t) == b.end())
+                    return false;
+            return true;
+        };
+        for (size_t i = 0; i < alts.size(); ++i) {
+            for (size_t k = 0; k < alts[i].size(); ++k)
+                for (size_t l = k + 1; l < alts[i].size(); ++l)
+                    EXPECT_FALSE(alts[i][k] == alts[i][l]);
+            for (size_t j = 0; j < alts.size(); ++j)
+                EXPECT_FALSE(j != i && within(alts[j], alts[i]));
+        }
+    };
+    if (n->kind == AstKind::For) {
+        check(n->lb);
+        check(n->ub);
+    }
+    for (const Promotion &promo : n->promotions)
+        for (size_t d = 0; d < promo.boxLo.size(); ++d) {
+            check(promo.boxLo[d]);
+            check(promo.boxHi[d]);
+        }
+    for (const auto &c : n->children)
+        expectDedupedBounds(c);
+}
+
+TEST(BoundDedup, NoBoundRepeatsATermOrAlternative)
+{
+    for (const driver::WorkloadSpec &spec : driver::workloadRegistry()) {
+        for (driver::Strategy s :
+             {driver::Strategy::Ours, driver::Strategy::MaxFuse}) {
+            SCOPED_TRACE(std::string(spec.name) + " / " +
+                         driver::strategyName(s));
+            ir::Program p = spec.make(smallSize(spec.name));
+            driver::PipelineOptions opts;
+            opts.strategy = s;
+            opts.tileSizes = spec.defaultTiles;
+            expectDedupedBounds(driver::Pipeline(opts).run(p).ast);
+        }
+    }
 }
 
 } // namespace

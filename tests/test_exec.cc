@@ -10,8 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <memory>
+
+#include <dlfcn.h>
+#include <unistd.h>
 
 #include "codegen/generate.hh"
 #include "core/compose.hh"
@@ -1053,6 +1059,220 @@ TEST(BytecodeKernel, SinkSeesScratchpadSpaces)
         ++(r.space >= nt ? local : global);
     EXPECT_GT(local, 0u);
     EXPECT_GT(global, 0u);
+}
+
+/** Deep copy of @p n with every promotion's copy-in restored; adds
+ *  the number of elided copy-ins it restored to @p elided. */
+codegen::AstPtr
+withEveryCopyIn(const codegen::AstPtr &n, int &elided)
+{
+    if (!n)
+        return n;
+    auto copy = std::make_shared<codegen::AstNode>(*n);
+    for (codegen::Promotion &promo : copy->promotions) {
+        elided += promo.copyIn ? 0 : 1;
+        promo.copyIn = true;
+    }
+    for (codegen::AstPtr &c : copy->children)
+        c = withEveryCopyIn(c, elided);
+    return copy;
+}
+
+/** Interpreter buffers of @p ast with the inputs and every Temp
+ *  global buffer filled: a copy-in codegen wrongly dropped then reads
+ *  a zeroed scratchpad instead of the global pattern. */
+Buffers
+runWithPatternedTemps(const ir::Program &p, const codegen::AstPtr &ast)
+{
+    Buffers buf(p);
+    initInputs(p, buf);
+    for (size_t t = 0; t < p.tensors().size(); ++t)
+        if (p.tensor(t).kind == ir::TensorKind::Temp)
+            buf.fillPattern(int(t), 7000 + t);
+    run(p, ast, buf);
+    return buf;
+}
+
+TEST(Exec, CopyInElisionIsUnobservable)
+{
+    struct Case
+    {
+        std::string name;
+        driver::WorkloadParams size;
+        std::vector<int64_t> tiles;
+        driver::Strategy strategy;
+    };
+    std::vector<Case> cases;
+    for (const driver::WorkloadSpec &spec : driver::workloadRegistry())
+        for (driver::Strategy s : driver::allStrategies())
+            cases.push_back({spec.name, smallParams(spec.name),
+                             smallTiles(spec), s});
+    // At these sizes the default tiles leave several partial tiles
+    // and the promotions of the HD benchmark's pipelines.
+    for (const char *name : {"camera", "interp", "unsharp"})
+        cases.push_back({name,
+                         {64, 128},
+                         driver::findWorkload(name)->defaultTiles,
+                         driver::Strategy::Ours});
+
+    int elided = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name + " / " + driver::strategyName(c.strategy));
+        ir::Program p = driver::findWorkload(c.name)->make(c.size);
+        driver::PipelineOptions popts;
+        popts.strategy = c.strategy;
+        popts.tileSizes = c.tiles;
+        auto state = driver::Pipeline(popts).run(p);
+        codegen::AstPtr kept = withEveryCopyIn(state.ast, elided);
+
+        Buffers proven = runWithPatternedTemps(p, state.ast);
+        Buffers copied = runWithPatternedTemps(p, kept);
+        for (size_t t = 0; t < p.tensors().size(); ++t)
+            EXPECT_EQ(proven.data(t), copied.data(t))
+                << "tensor " << p.tensor(t).name;
+    }
+    EXPECT_GT(elided, 0);
+}
+
+// ------------------------------------------------------------------
+// Tile-team scratchpad arenas: each OpenMP / std::thread worker and
+// each bytecode worker machine owns its promotions' storage, reused
+// across its tiles. The bytecode and std::thread tests carry
+// "Parallel" so the TSAN gate runs them. The OpenMP test stays out of
+// it: TSAN cannot instrument the compiled kernel, and libgomp's
+// pooled workers synchronize through futexes TSAN does not see, so
+// there it only reports the kernel reading buffers the main thread
+// filled before the region.
+// ------------------------------------------------------------------
+
+const char *const kImagePipelines[] = {"bilateral", "camera",
+                                       "harris",    "laplacian",
+                                       "interp",    "unsharp"};
+
+/** @p name under `ours` at a reduced size, and the buffers of its
+ *  sequential native run. */
+struct ArenaCase
+{
+    ir::Program p;
+    driver::CompilationState state;
+    std::unique_ptr<Buffers> ref;
+
+    explicit ArenaCase(const char *name)
+    {
+        state = compileSmall(name, driver::Strategy::Ours, p);
+        NativeKernel seq = NativeKernel::compile(p, state.ast);
+        EXPECT_TRUE(seq.ok()) << seq.reason();
+        ref = std::make_unique<Buffers>(p);
+        initInputs(p, *ref);
+        if (seq.ok())
+            seq.run(*ref);
+    }
+
+    void
+    expectMatches(const Buffers &buf) const
+    {
+        for (size_t t = 0; t < p.tensors().size(); ++t)
+            EXPECT_EQ(ref->data(t), buf.data(t))
+                << "tensor " << p.tensor(t).name;
+    }
+};
+
+TEST(NativeArena, TileTeamsMatchSequentialNative)
+{
+    if (NativeKernel::parallelToolchain() == NativeParMode::Seq)
+        GTEST_SKIP() << "no parallel native toolchain on this machine";
+    for (const char *name : kImagePipelines) {
+        ArenaCase c(name);
+        for (unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(std::string(name) + " x" +
+                         std::to_string(threads));
+            NativeOptions no;
+            no.par = ParStrategy::Static;
+            no.threads = threads;
+            no.tileBands = &c.state.tileBands;
+            NativeKernel team = NativeKernel::compile(c.p, c.state.ast, no);
+            ASSERT_TRUE(team.ok()) << team.reason();
+            EXPECT_GT(team.regionsParallel(), 0u) << team.parReason();
+            Buffers buf(c.p);
+            initInputs(c.p, buf);
+            team.run(buf);
+            c.expectMatches(buf);
+        }
+    }
+}
+
+TEST(NativeArenaParallel, BytecodeTeamsMatchSequentialNative)
+{
+    if (!NativeKernel::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain on this machine";
+    for (const char *name : kImagePipelines) {
+        ArenaCase c(name);
+        for (unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(std::string(name) + " x" +
+                         std::to_string(threads));
+            ExecOptions eo;
+            eo.tier = Tier::Bytecode;
+            eo.par = ParStrategy::Static;
+            eo.threads = threads;
+            eo.tileBands = &c.state.tileBands;
+            Buffers buf(c.p);
+            initInputs(c.p, buf);
+            ExecResult r = execute(c.p, c.state.ast, buf, eo);
+            EXPECT_TRUE(r.parFallbackReason.empty())
+                << r.parFallbackReason;
+            EXPECT_GT(r.par.regionsParallel, 0u);
+            c.expectMatches(buf);
+        }
+    }
+}
+
+TEST(NativeArenaParallel, ThreadTeamSourceMatchesSequentialNative)
+{
+    // The std::thread tile-team TU, which NativeKernel only builds
+    // when OpenMP is missing, compiled with the command it uses for
+    // that mode.
+    if (!NativeKernel::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain on this machine";
+    const char *env = std::getenv("CXX");
+    std::string cxx = env ? env : "c++";
+    if (std::system((cxx + " --version > /dev/null 2>&1").c_str()) != 0)
+        GTEST_SKIP() << "no C++ compiler on this machine";
+    char tmpl[] = "/tmp/pf_threads_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    for (const char *name : {"camera", "interp"}) {
+        SCOPED_TRACE(name);
+        ArenaCase c(name);
+        const ir::Program &p = c.p;
+        unsigned parallel = 0;
+        const std::string src = dir + "/kernel.cc";
+        const std::string so = dir + "/" + name + ".so";
+        {
+            std::ofstream f(src);
+            f << emitNativeSource(p, c.state.ast, NativeParMode::Threads,
+                                  3, &c.state.tileBands, &parallel);
+        }
+        EXPECT_GT(parallel, 0u);
+        std::string cmd = cxx + " -O2 -fPIC -shared -ffp-contract=off -o " +
+                          so + " " + src + " -lm -pthread";
+        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+        void *dl = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+        ASSERT_NE(dl, nullptr) << dlerror();
+        auto fn = reinterpret_cast<void (*)(double **)>(
+            dlsym(dl, "pf_kernel"));
+        ASSERT_NE(fn, nullptr);
+        Buffers buf(p);
+        initInputs(p, buf);
+        std::vector<double *> bufs;
+        for (size_t t = 0; t < buf.numTensors(); ++t)
+            bufs.push_back(buf.data(int(t)).data());
+        fn(bufs.data());
+        dlclose(dl);
+        std::remove(src.c_str());
+        std::remove(so.c_str());
+        c.expectMatches(buf);
+    }
+    rmdir(dir.c_str());
 }
 
 TEST(Buffers, PatternIsDeterministicAndBoundsChecked)
