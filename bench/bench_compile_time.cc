@@ -13,63 +13,15 @@
  * our approach.
  */
 
-#include <cstring>
-
 #include "bench/common.hh"
-#include "bench/perf_baseline.hh"
-#include "driver/batch.hh"
-#include "support/thread_pool.hh"
 #include "workloads/pipelines.hh"
 
 using namespace polyfuse;
 using namespace polyfuse::bench;
 
-namespace {
-
-/**
- * --json: the registry-wide compile-time baseline behind
- * BENCH_compile_time.json. Every registry workload is compiled at
- * --jobs 1 twice in this same process — baseline (forced-heap rows,
- * op cache off) and optimized (inline rows, cache on) — and the
- * geomean speedup of the optimized configuration is the number the
- * perf trajectory tracks. Exit 1 when any workload's generated C
- * differs between the two configurations.
- */
 int
-runJson()
+main()
 {
-    std::vector<PerfComparison> sweep = sweepRegistryPerf(3);
-    double geomean = geomeanSpeedup(sweep);
-    bool all_identical = true;
-    for (const auto &c : sweep)
-        all_identical = all_identical && c.identical();
-
-    std::string out = "{\"bench\": \"compile_time\", \"jobs\": 1, ";
-    out += "\"strategy\": \"ours\", \"reps\": 3, \"workloads\": [";
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += perfComparisonJson(sweep[i]);
-    }
-    out += "], \"geomeanSpeedup\": " + fmt(geomean, "%.4f");
-    out += ", \"allIdentical\": ";
-    out += all_identical ? "true" : "false";
-    out += "}";
-    std::printf("%s\n", out.c_str());
-    return all_identical ? 0 : 1;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    if (argc > 1 && !std::strcmp(argv[1], "--json"))
-        return runJson();
-    if (argc > 1) {
-        std::fprintf(stderr, "usage: bench_compile_time [--json]\n");
-        return 2;
-    }
     workloads::PipelineConfig cfg{256, 256};
     struct Entry
     {
@@ -122,42 +74,5 @@ main(int argc, char **argv)
                 "and excluded from the total;\nmaxfuse's shift "
                 "search lands in `fuse`, ours' footprint "
                 "computation in `compose`.\n");
-
-    // Batch sweep: the same pipeline x strategy grid through
-    // driver::compileBatch, sequentially and on every hardware
-    // thread, so the batching speedup is visible next to the E7
-    // sequential numbers (which remain the paper artifact above).
-    auto makeJobs = [&] {
-        std::vector<driver::BatchJob> jobs;
-        for (const auto &e : entries) {
-            for (Strategy s : strategies) {
-                driver::BatchJob job;
-                job.name =
-                    std::string(e.name) + "/" + strategyName(s);
-                job.options.strategy = s;
-                job.options.tileSizes = {32, 32};
-                auto make = e.make;
-                job.make = [make, cfg] { return make(cfg); };
-                jobs.push_back(std::move(job));
-            }
-        }
-        return jobs;
-    };
-    unsigned hw = ThreadPool::defaultThreads();
-    std::printf("\n=== Batch compilation (driver::compileBatch, "
-                "%zu jobs) ===\n",
-                entries.size() * strategies.size());
-    auto seq = driver::compileBatch(makeJobs(), 1);
-    auto par = driver::compileBatch(makeJobs(), hw);
-    printRow("jobs=1", {fmt(seq.wallMs), "wall ms"}, 10);
-    printRow("jobs=" + std::to_string(hw),
-             {fmt(par.wallMs), "wall ms"}, 10);
-    printRow("speedup",
-             {fmt(par.wallMs > 0 ? seq.wallMs / par.wallMs : 0.0,
-                  "%.2fx")},
-             10);
-    if (seq.failed() || par.failed())
-        std::printf("WARNING: %u/%u jobs failed\n", seq.failed(),
-                    par.failed());
     return 0;
 }

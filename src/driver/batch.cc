@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "support/timer.hh"
@@ -23,7 +24,6 @@ runJob(const BatchJob &job, const BatchOptions &opts,
     try {
         failpoints::hit("driver.job." + job.name);
         CompileContext ctx;
-        ctx.setOpCacheEnabled(opts.useOpCache);
         ctx.budget = opts.budget;
         if (opts.timeoutMs > 0 &&
             (ctx.budget.wallMs == 0 ||
@@ -130,7 +130,7 @@ BatchResult::json() const
         if (!first)
             out += ", ";
         first = false;
-        out += "{\"name\": \"" + jsonEscape(j.name) + "\", \"ok\": ";
+        out += "{\"name\": \"" + json::escape(j.name) + "\", \"ok\": ";
         out += j.ok ? "true" : "false";
         std::snprintf(buf, sizeof(buf), "%.4f", j.wallMs);
         out += ", \"wallMs\": " + std::string(buf);
@@ -158,7 +158,7 @@ BatchResult::json() const
                    std::to_string(j.artifact.fallbackTrail.size());
             out += ", \"stats\": " + j.artifact.stats.json();
         } else {
-            out += ", \"error\": \"" + jsonEscape(j.error) + "\"";
+            out += ", \"error\": \"" + json::escape(j.error) + "\"";
         }
         out += "}";
     }

@@ -77,11 +77,6 @@ struct BatchOptions
     /** Per-job resource budget (each job gets its own window). */
     Budget budget;
 
-    /** Memoize Presburger operations per job (each job's context owns
-     *  its own cache, so concurrency is unaffected). Off reproduces
-     *  the uncached baseline bit for bit. */
-    bool useOpCache = true;
-
     /** Optional external cancellation token; tripping it makes every
      *  not-yet-finished job fail with a "cancelled" error. */
     CancelToken *cancel = nullptr;

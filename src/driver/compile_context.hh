@@ -45,8 +45,9 @@ struct CompileContext
      *  independent of compilation history. */
     pres::OpCache opCache;
 
-    /** Detach/attach the cache (the --no-op-cache baseline and the
-     *  equivalence tests use this; contents are preserved). */
+    /** Detach/attach the cache (the CacheEquivalence tests use the
+     *  detached context as their reference; contents are
+     *  preserved). */
     void
     setOpCacheEnabled(bool on)
     {

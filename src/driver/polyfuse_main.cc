@@ -38,6 +38,7 @@
 #include "service/server.hh"
 #include "support/budget.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/thread_pool.hh"
 #include "workloads/equake.hh"
 
@@ -69,8 +70,6 @@ usage(FILE *to)
         "  --parallelism N       1 = OpenMP CPU, 2 = GPU grid\n"
         "  --rows N / --cols N   workload size parameters\n"
         "  --no-promote          keep intermediates in DRAM\n"
-        "  --no-op-cache         disable the Presburger operation\n"
-        "                        cache (the uncached baseline)\n"
         "  --timeout-ms N        per-job wall-clock budget; over-\n"
         "                        budget jobs fall back to cheaper\n"
         "                        strategies (see --no-fallback)\n"
@@ -263,7 +262,6 @@ main(int argc, char **argv)
     double timeout_ms = 0;
     uint64_t budget_elims = 0;
     bool strict = false;
-    bool use_op_cache = true;
     bool do_run = false;
     exec::Tier tier = exec::Tier::Bytecode;
     unsigned run_threads = 1;
@@ -349,8 +347,6 @@ main(int argc, char **argv)
             cols_given = true;
         } else if (arg == "--no-promote") {
             opts.gen.promoteIntermediates = false;
-        } else if (arg == "--no-op-cache") {
-            use_op_cache = false;
         } else if (arg == "--timeout-ms") {
             char *end = nullptr;
             const char *v = value(i);
@@ -661,7 +657,6 @@ main(int argc, char **argv)
         bopts.jobsN = jobsN;
         bopts.timeoutMs = timeout_ms;
         bopts.budget.fmEliminations = budget_elims;
-        bopts.useOpCache = use_op_cache;
         bopts.tier = tier;
         if (use_cache) {
             bopts.kernelCache = &exec::KernelCache::process();
@@ -767,7 +762,6 @@ main(int argc, char **argv)
 
     driver::Pipeline pipeline(opts);
     driver::CompileContext ctx;
-    ctx.setOpCacheEnabled(use_op_cache);
     ctx.budget.wallMs = timeout_ms;
     ctx.budget.fmEliminations = budget_elims;
 
@@ -934,7 +928,7 @@ main(int argc, char **argv)
                 exec::tierName(tier), exec::tierName(result.tier));
             std::string run_json = buf;
             run_json += "\"fallbackReason\": \"" +
-                        driver::jsonEscape(result.fallbackReason) +
+                        json::escape(result.fallbackReason) +
                         "\", ";
             std::snprintf(buf, sizeof(buf),
                           "\"ms\": %.4f, \"instances\": %llu, "
@@ -964,7 +958,7 @@ main(int argc, char **argv)
             run_json += buf;
             run_json +=
                 "\"fallbackReason\": \"" +
-                driver::jsonEscape(result.parFallbackReason) +
+                json::escape(result.parFallbackReason) +
                 "\"}, ";
             std::snprintf(
                 buf, sizeof(buf),
@@ -976,7 +970,7 @@ main(int argc, char **argv)
             run_json += buf;
             run_json +=
                 "\"fallbackReason\": \"" +
-                driver::jsonEscape(result.simdFallbackReason) +
+                json::escape(result.simdFallbackReason) +
                 "\"}}";
             out.insert(out.size() - 1, run_json);
         }

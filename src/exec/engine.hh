@@ -173,8 +173,8 @@ ExecResult execute(const ir::Program &program,
  * either bit-identical buffers against the Tier-0 interpreter
  * (bitIdentical == true; the emitters use `-ffp-contract=off` and
  * the vector path never reassociates) or a bounded L-infinity
- * residual (maxAbsResidual). The differential tests and
- * bench_backends enforce the contract per workload.
+ * residual (maxAbsResidual). The differential tests (BackendSweep
+ * in tests/test_exec.cc) enforce the contract per workload.
  */
 struct BackendSpec
 {

@@ -84,12 +84,13 @@ ModelFit
 defaultModelFit()
 {
     // The committed calibration: a registry-wide least-squares fit
-    // (bench_autotune --fit over every workload x the default
-    // candidate ladder, measured through the same compose + codegen
-    // + bytecode + memsim path the tuner minimizes). Re-derive with
-    //   ./build/bench/bench_autotune --fit
-    // after changing the cost model, the tuning hierarchy or the
-    // CPU model, and paste the printed values here.
+    // over every workload x the default candidate ladder, measured
+    // through the same compose + codegen + bytecode + memsim path
+    // the tuner minimizes. The test
+    //   Autotune.RegistryRefitReproducesTheDefaultModelFit
+    // (tests/test_autotune.cc) re-fits and compares at these 4
+    // decimals; after changing the cost model, the tuning hierarchy
+    // or the CPU model it fails and prints the values to paste here.
     ModelFit fit;
     fit.cCompute = 0.1920;
     fit.cMem = 0.0071;

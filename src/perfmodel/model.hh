@@ -30,11 +30,13 @@
  * terms. The coefficients (ModelFit) are CALIBRATED: fitModel()
  * least-squares fits them against really-measured samples
  * (compose + codegen + bytecode + memsim evaluations, the same
- * BENCH_runtime.json-style numbers the tuner minimizes), and the
- * fit is persisted in the TuneDb file so every cold search sharpens
- * later rankings. defaultModelFit() is the committed calibration:
- * the coefficients of a registry-wide fit (bench_autotune --fit)
- * checked in as code so a db-less guided search still ranks well.
+ * numbers the tuner minimizes), and the fit is persisted in the
+ * TuneDb file so every cold search sharpens later rankings.
+ * defaultModelFit() is the committed calibration: the coefficients
+ * of a registry-wide fit, checked in as code so a db-less guided
+ * search still ranks well. The test
+ * Autotune.RegistryRefitReproducesTheDefaultModelFit re-derives
+ * them.
  */
 
 #ifndef POLYFUSE_PERFMODEL_MODEL_HH

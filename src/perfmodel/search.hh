@@ -6,7 +6,8 @@
  * the calibrated analytic CostModel (perfmodel/model.hh), then fully
  * evaluate only the top of the ranking with successive-halving early
  * stopping. Guided search visits a fraction of the ladder at
- * near-oracle quality (BENCH_autotune.json tracks the tradeoff).
+ * near-oracle quality (Autotune.RegistrySweepGuidedMeetsTheSearchBounds
+ * in tests/test_autotune.cc gates the tradeoff).
  *
  * Candidate ordering is dimension-matching in the sense of the
  * fusion/tiling heuristics of arXiv 1803.10726: among model-score

@@ -66,7 +66,12 @@ struct Value
 bool parse(const std::string &text, Value *out,
            std::string *error = nullptr);
 
-/** JSON string escaping (shared spelling with driver::jsonEscape). */
+/**
+ * Escape @p s for embedding inside a JSON string literal: quotes,
+ * backslashes, \n \r \t, and every other control character as
+ * \uXXXX. Bytes >= 0x20 (UTF-8 included) pass through unchanged.
+ * The one escaper every JSON writer in the repository uses.
+ */
 std::string escape(const std::string &s);
 
 } // namespace json

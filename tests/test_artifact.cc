@@ -302,6 +302,9 @@ TEST(KernelCache, RegistryWideDifferentialSweep)
             EXPECT_TRUE(warm.fromCache);
             EXPECT_EQ(plain.fingerprint, cold.fingerprint);
             EXPECT_EQ(cold.fingerprint, warm.fingerprint);
+            // The hit ran the lookup and no pipeline pass.
+            ASSERT_EQ(warm.stats.passes().size(), 1u);
+            EXPECT_EQ(warm.stats.passes()[0].name, "KernelCache");
 
             exec::Buffers ba(*program), bb(*program), bc(*program);
             fillInputs(*program, ba);

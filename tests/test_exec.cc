@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -437,6 +438,13 @@ TEST_P(TierDifferential, ParallelMatchesSequentialExactly)
         initInputs(p, ref);
         ExecOptions seq;
         ExecResult rs = execute(p, state.ast, ref, seq);
+        // A fully parallel band always runs on the team (either
+        // strategy), so its tiles must actually be launched.
+        bool fully_parallel = std::any_of(
+            state.tileBands.begin(), state.tileBands.end(),
+            [](const deps::TileBandGraph &b) {
+                return b.cls == deps::TileBandClass::FullyParallel;
+            });
 
         for (ParStrategy par : {ParStrategy::Static,
                                 ParStrategy::Graph}) {
@@ -455,6 +463,10 @@ TEST_P(TierDifferential, ParallelMatchesSequentialExactly)
                 EXPECT_EQ(rp.tier, Tier::Bytecode);
                 EXPECT_TRUE(rp.parFallbackReason.empty())
                     << rp.parFallbackReason;
+                if (fully_parallel) {
+                    EXPECT_GT(rp.par.regionsParallel, 0u);
+                    EXPECT_GT(rp.par.tilesExecuted, 0u);
+                }
 
                 for (size_t t = 0; t < p.tensors().size(); ++t)
                     EXPECT_EQ(ref.data(t), buf.data(t))

@@ -709,6 +709,10 @@ TEST_F(ServiceTest, DeadlineExpiresToTypedTimeout)
 
 TEST_F(ServiceTest, OverloadShedsWithTypedErrorAndDaemonStaysLive)
 {
+    // Every admitted reply still carries the direct-execution bits.
+    const std::string expect =
+        directHash(compileReq("conv2d", 0, {8, 8}));
+
     // One worker, queue depth 2: the third concurrent compile sheds.
     std::mutex mu;
     std::condition_variable cv;
@@ -766,10 +770,12 @@ TEST_F(ServiceTest, OverloadShedsWithTypedErrorAndDaemonStaysLive)
         << err;
     ASSERT_TRUE(decodeResponse(payload, &resp, &err)) << err;
     EXPECT_TRUE(resp.ok) << resp.message;
+    EXPECT_EQ(resp.bufferHash, expect);
     ASSERT_EQ(readFrame(c2.fd(), &payload, &err), FrameStatus::Ok)
         << err;
     ASSERT_TRUE(decodeResponse(payload, &resp, &err)) << err;
     EXPECT_TRUE(resp.ok) << resp.message;
+    EXPECT_EQ(resp.bufferHash, expect);
 
     // The daemon recovered: a fresh request succeeds. Admission
     // slots free a beat after the replies land (the guard destructor
@@ -782,6 +788,7 @@ TEST_F(ServiceTest, OverloadShedsWithTypedErrorAndDaemonStaysLive)
             << err;
         if (resp.ok) {
             recovered = true;
+            EXPECT_EQ(resp.bufferHash, expect);
         } else {
             ASSERT_EQ(resp.kind, ErrorKind::Overloaded)
                 << resp.message;
@@ -1000,15 +1007,19 @@ TEST_F(ServiceTest, TransientNativeFailureRetriesThenDegrades)
     Client c = connectTo(*srv);
     std::string err;
 
+    // The degraded reply must carry the bytecode tier's bits (taken
+    // before the failpoint is armed).
+    Request req = compileReq("conv2d", 1, {8, 8});
+    const std::string expect = directHash(req);
     failpoints::set("exec.native.transient",
                     failpoints::Action::Error);
-    Request req = compileReq("conv2d", 1, {8, 8});
     req.tier = "native";
     Response resp;
     ASSERT_TRUE(c.call(req, &resp, &err)) << err;
     ASSERT_TRUE(resp.ok) << resp.message;
     EXPECT_EQ(resp.tier, "bytecode");
     EXPECT_FALSE(resp.tierFallbackReason.empty());
+    EXPECT_EQ(resp.bufferHash, expect);
 
     if (exec::NativeKernel::toolchainAvailable()) {
         // The failpoint sits past the toolchain probe: every attempt

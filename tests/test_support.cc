@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support layer: checked math, rationals, string
- * helpers, diagnostics.
+ * helpers, JSON string escaping, diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <mutex>
 
 #include "support/intmath.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/lru.hh"
 #include "support/rational.hh"
@@ -109,6 +110,28 @@ TEST(StrUtil, TrimAndFormat)
     EXPECT_EQ(trim("  x y \n"), "x y");
     EXPECT_EQ(trim("   "), "");
     EXPECT_EQ(strformat("%d-%s", 3, "x"), "3-x");
+}
+
+TEST(JsonEscape, EveryAsciiByteAndUtf8RoundTripThroughParse)
+{
+    auto roundTrip = [](const std::string &s) {
+        std::string quoted = "\"" + json::escape(s) + "\"";
+        json::Value v;
+        std::string err;
+        EXPECT_TRUE(json::parse(quoted, &v, &err))
+            << err << " in " << quoted;
+        EXPECT_TRUE(v.isString()) << quoted;
+        return v.string;
+    };
+    for (int c = 0x01; c <= 0x7f; ++c) {
+        std::string s(1, char(c));
+        EXPECT_EQ(roundTrip(s), s) << "byte 0x" << std::hex << c;
+    }
+    // Multi-byte UTF-8 (2, 3 and 4 bytes) passes through unescaped.
+    const std::string utf8 = "caf\xc3\xa9 \xe2\x88\x80"
+                             "x \xf0\x9f\x99\x82";
+    EXPECT_EQ(json::escape(utf8), utf8);
+    EXPECT_EQ(roundTrip(utf8), utf8);
 }
 
 TEST(Logging, FatalAndPanicThrowDistinctTypes)
