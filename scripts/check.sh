@@ -17,8 +17,9 @@
 #                                  check_tsan ctest; never invokes
 #                                  ctest itself)
 #   scripts/check.sh --asan-only   only the -fsanitize=address build of
-#                                  the error-path-heavy tests, then run
-#                                  them directly (wired as the
+#                                  the error-path-heavy tests and of the
+#                                  JSON and TuneDb readers' tests, then
+#                                  run them directly (wired as the
 #                                  check_asan ctest; never invokes
 #                                  ctest itself)
 #   scripts/check.sh --ubsan-only  only the -fsanitize=undefined build
@@ -104,26 +105,31 @@ tsan_build_and_run() {
 # offsets (tests/test_exec.cc) — and on the service's per-request
 # error/shed/drain unwind paths (tests/test_service.cc) — and on the
 # tuner's parallel batch evaluation and tuning-store parsing
-# (tests/test_autotune.cc) — show up here as hard failures. The
-# registry-wide Autotune.Registry* gates are excluded: each runs the
-# full exhaustive tile sweep over every workload (~20 s in a normal
-# build), and the other Autotune tests already drive the same
-# evaluation path under ASAN.
+# (tests/test_autotune.cc) — and in the two readers of hostile input,
+# the JSON parser (test_support's Json* tests) and TuneDb's
+# per-record salvage (test_artifact's TuneDb* tests, which sweep
+# every byte flip and truncation of a saved store) — show up here as
+# hard failures. The registry-wide Autotune.Registry* gates are
+# excluded: each runs the full exhaustive tile sweep over every
+# workload (~20 s in a normal build), and the other Autotune tests
+# already drive the same evaluation path under ASAN.
 asan_build_and_run() {
     echo "== configure + build with -fsanitize=address =="
     cmake -B "$src/build-asan" -S "$src" -DPOLYFUSE_ASAN=ON
     cmake --build "$src/build-asan" -j "$jobs" \
         --target test_robustness test_pres_parser test_exec \
-        test_service test_autotune
+        test_service test_autotune test_artifact test_support
     echo "== run test_robustness + test_pres_parser + test_exec" \
-         "+ test_service + test_autotune (minus Registry*) under" \
-         "ASAN =="
+         "+ test_service + test_autotune (minus Registry*) +" \
+         "test_artifact[TuneDb*] + test_support[Json*] under ASAN =="
     "$src/build-asan/tests/test_robustness"
     "$src/build-asan/tests/test_pres_parser"
     "$src/build-asan/tests/test_exec"
     "$src/build-asan/tests/test_service"
     "$src/build-asan/tests/test_autotune" \
         --gtest_filter='-Autotune.Registry*'
+    "$src/build-asan/tests/test_artifact" --gtest_filter='TuneDb*'
+    "$src/build-asan/tests/test_support" --gtest_filter='Json*'
     echo "== ASAN run OK =="
 }
 

@@ -4,7 +4,6 @@
 #include <exception>
 
 #include "support/failpoint.hh"
-#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "support/timer.hh"
@@ -120,53 +119,37 @@ BatchResult::summary() const
     return out;
 }
 
-std::string
+json::Value
 BatchResult::json() const
 {
-    std::string out = "{\"jobs\": [";
-    char buf[64];
-    bool first = true;
+    json::Value list(json::Value::Kind::Array);
     for (const auto &j : jobs) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "{\"name\": \"" + json::escape(j.name) + "\", \"ok\": ";
-        out += j.ok ? "true" : "false";
-        std::snprintf(buf, sizeof(buf), "%.4f", j.wallMs);
-        out += ", \"wallMs\": " + std::string(buf);
+        json::Value job;
+        job.set("name", j.name);
+        job.set("ok", j.ok);
+        job.set("wallMs", j.wallMs);
         if (j.ok) {
-            std::snprintf(buf, sizeof(buf), "%.4f",
-                          j.artifact.compileMs());
-            out += ", \"compileMs\": " + std::string(buf);
-            out += ", \"fmElims\": " +
-                   std::to_string(j.fm.eliminations);
-            out += ", \"fmRows\": " +
-                   std::to_string(j.fm.constraintsVisited);
-            out += ", \"cacheHits\": " +
-                   std::to_string(j.fm.cacheHits);
-            out += ", \"cacheMisses\": " +
-                   std::to_string(j.fm.cacheMisses);
-            out += ", \"strategy\": \"" +
-                   std::string(
-                       strategyName(j.artifact.requestedStrategy)) +
-                   "\"";
-            out += ", \"effective\": \"" +
-                   std::string(
-                       strategyName(j.artifact.effectiveStrategy)) +
-                   "\"";
-            out += ", \"downgrades\": " +
-                   std::to_string(j.artifact.fallbackTrail.size());
-            out += ", \"stats\": " + j.artifact.stats.json();
+            job.set("compileMs", j.artifact.compileMs());
+            job.set("fmElims", j.fm.eliminations);
+            job.set("fmRows", j.fm.constraintsVisited);
+            job.set("cacheHits", j.fm.cacheHits);
+            job.set("cacheMisses", j.fm.cacheMisses);
+            job.set("strategy",
+                    strategyName(j.artifact.requestedStrategy));
+            job.set("effective",
+                    strategyName(j.artifact.effectiveStrategy));
+            job.set("downgrades", j.artifact.fallbackTrail.size());
+            job.set("stats", j.artifact.stats.json());
         } else {
-            out += ", \"error\": \"" + json::escape(j.error) + "\"";
+            job.set("error", j.error);
         }
-        out += "}";
+        list.push(std::move(job));
     }
-    out += "], \"jobsN\": " + std::to_string(jobsN);
-    std::snprintf(buf, sizeof(buf), "%.4f", wallMs);
-    out += ", \"wallMs\": " + std::string(buf);
-    std::snprintf(buf, sizeof(buf), "%.4f", totalCompileMs());
-    out += ", \"totalCompileMs\": " + std::string(buf) + "}";
+    json::Value out;
+    out.set("jobs", std::move(list));
+    out.set("jobsN", jobsN);
+    out.set("wallMs", wallMs);
+    out.set("totalCompileMs", totalCompileMs());
     return out;
 }
 

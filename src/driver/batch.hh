@@ -25,6 +25,7 @@
 #include "driver/artifact.hh"
 #include "driver/pipeline.hh"
 #include "support/budget.hh"
+#include "support/json.hh"
 
 namespace polyfuse {
 namespace driver {
@@ -117,7 +118,7 @@ struct BatchResult
 
     /** One JSON object: {"jobs": [...], "jobsN": ..., "wallMs": ...,
      *  "totalCompileMs": ...}; per-job stats use PassStats::json. */
-    std::string json() const;
+    json::Value json() const;
 };
 
 /**

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "support/json.hh"
-
 namespace polyfuse {
 namespace driver {
 
@@ -73,39 +71,31 @@ PassStats::str() const
     return out;
 }
 
-std::string
+json::Value
 PassStats::json() const
 {
-    std::string out = "{\"passes\": [";
-    bool first_pass = true;
-    char buf[64];
+    json::Value passes(json::Value::Kind::Array);
     for (const auto &p : passes_) {
-        if (!first_pass)
-            out += ", ";
-        first_pass = false;
-        std::snprintf(buf, sizeof(buf), "%.4f", p.ms);
-        out += "{\"name\": \"" + json::escape(p.name) +
-               "\", \"ms\": " + buf + ", \"counters\": {";
         // Key order must not depend on the order passes happened to
-        // report counters in: sort (stably, so a duplicate key keeps
-        // its first-reported-first position).
+        // report counters in: sort (stably, so a key reported twice
+        // deterministically keeps its last value).
         auto counters = p.counters;
         std::stable_sort(counters.begin(), counters.end(),
                          [](const auto &a, const auto &b) {
                              return a.first < b.first;
                          });
-        bool first_counter = true;
-        for (const auto &[name, value] : counters) {
-            if (!first_counter)
-                out += ", ";
-            first_counter = false;
-            out += "\"" + json::escape(name) +
-                   "\": " + std::to_string(value);
-        }
-        out += "}}";
+        json::Value cs(json::Value::Kind::Object);
+        for (const auto &[name, value] : counters)
+            cs.set(name, value);
+        json::Value pass;
+        pass.set("name", p.name);
+        pass.set("ms", p.ms);
+        pass.set("counters", std::move(cs));
+        passes.push(std::move(pass));
     }
-    std::snprintf(buf, sizeof(buf), "%.4f", totalMs());
-    out += "], \"totalMs\": " + std::string(buf) + "}";
+    json::Value out;
+    out.set("passes", std::move(passes));
+    out.set("totalMs", totalMs());
     return out;
 }
 

@@ -5,7 +5,7 @@
  * small set of named integer counters (FM eliminations / constraint
  * rows from src/pres, fusion cluster counts, extension nodes
  * inserted by core::compose, AST node counts, ...). The registry
- * renders as an aligned table (str()) or a JSON object (json()) and
+ * renders as an aligned table (str()) or a JSON value (json()) and
  * is what gives E7 honest per-pass compile-time numbers instead of
  * one lumped total.
  */
@@ -17,6 +17,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "support/json.hh"
 
 namespace polyfuse {
 namespace driver {
@@ -59,12 +61,12 @@ class PassStats
     std::string str() const;
 
     /**
-     * One JSON object: {"passes": [...], "totalMs": ...}. Machine-
-     * stable: strings are escaped and counter keys are emitted in
-     * sorted order, so two runs recording the same values produce
-     * byte-identical text (batch mode merges many of these blobs).
+     * One JSON object: {"passes": [{"name", "ms", "counters"}, ...],
+     * "totalMs": ...}. Machine-stable: counter keys are emitted in
+     * sorted order, so two runs recording the same values dump to
+     * byte-identical text (batch mode and the CLI nest this object).
      */
-    std::string json() const;
+    json::Value json() const;
 
   private:
     std::vector<PassStat> passes_;

@@ -227,7 +227,7 @@ runAll(const driver::BatchOptions &bopts,
     driver::BatchResult batch =
         driver::compileBatch(std::move(jobs), bopts);
     if (emit == "json")
-        std::printf("%s\n", batch.json().c_str());
+        std::printf("%s\n", json::dump(batch.json()).c_str());
     else
         std::printf("%s", batch.summary().c_str());
     for (const auto &j : batch.jobs) {
@@ -868,113 +868,62 @@ main(int argc, char **argv)
         std::printf("compile (scheduling + codegen): %.3f ms\n",
                     artifact.compileMs());
     } else if (emit == "json") {
-        std::string out = artifact.stats.json();
-        {
-            // Splice artifact identity into the stats JSON (which
-            // always ends in '}').
-            std::string art = ", \"artifact\": {\"fingerprint\": \"" +
-                              artifact.fingerprint.hex() +
-                              "\", \"fromCache\": ";
-            art += artifact.fromCache ? "true" : "false";
-            art += "}";
-            out.insert(out.size() - 1, art);
-        }
+        // The stats object, with the artifact's identity and, when
+        // they happened, the tuning outcome and the run report.
+        json::Value out = artifact.stats.json();
+        json::Value art;
+        art.set("fingerprint", artifact.fingerprint.hex());
+        art.set("fromCache", artifact.fromCache);
+        out.set("artifact", std::move(art));
         if (tuned_ok) {
-            // Splice the tuning outcome into the stats JSON (which
-            // always ends in '}').
-            char buf[200];
-            std::string tiles;
-            for (int64_t t : tuned.tileSizes)
-                tiles +=
-                    (tiles.empty() ? "" : ", ") + std::to_string(t);
-            std::string tj = ", \"autotune\": {\"tiles\": [" +
-                             tiles + "], ";
-            std::snprintf(
-                buf, sizeof(buf),
-                "\"mode\": \"%s\", \"warmStart\": %s, "
-                "\"seededFromShape\": %s, \"modeledMs\": %.6f, ",
-                perfmodel::searchModeName(tuned.mode),
-                tuned.warmStart ? "true" : "false",
-                tuned.seededFromShape ? "true" : "false",
-                tuned.modeledMs);
-            tj += buf;
-            std::snprintf(
-                buf, sizeof(buf),
-                "\"measured\": %u, \"totalCandidates\": %u, "
-                "\"pruned\": %u, \"modelRankMs\": %.4f, "
-                "\"searchMs\": %.4f",
-                tuned.evaluated, tuned.totalCandidates,
-                tuned.pruned, tuned.modelRankMs, tuned.searchMs);
-            tj += buf;
+            json::Value tj;
+            tj.set("tiles", tuned.tileSizes);
+            tj.set("mode", perfmodel::searchModeName(tuned.mode));
+            tj.set("warmStart", tuned.warmStart);
+            tj.set("seededFromShape", tuned.seededFromShape);
+            tj.set("modeledMs", tuned.modeledMs);
+            tj.set("measured", tuned.evaluated);
+            tj.set("totalCandidates", tuned.totalCandidates);
+            tj.set("pruned", tuned.pruned);
+            tj.set("modelRankMs", tuned.modelRankMs);
+            tj.set("searchMs", tuned.searchMs);
             if (search_report &&
                 tuned.mode == perfmodel::SearchMode::Guided) {
-                std::snprintf(buf, sizeof(buf),
-                              ", \"oracleMs\": %.6f, "
-                              "\"qualityGapPct\": %.4f",
-                              tuned.oracleMs, tuned.qualityGapPct);
-                tj += buf;
+                tj.set("oracleMs", tuned.oracleMs);
+                tj.set("qualityGapPct", tuned.qualityGapPct);
             }
-            tj += "}";
-            out.insert(out.size() - 1, tj);
+            out.set("autotune", std::move(tj));
         }
         if (ran) {
-            // Splice a "run" object into the stats JSON (which always
-            // ends in '}').
-            char buf[160];
-            std::snprintf(
-                buf, sizeof(buf),
-                ", \"run\": {\"requestedTier\": \"%s\", "
-                "\"tier\": \"%s\", ",
-                exec::tierName(tier), exec::tierName(result.tier));
-            std::string run_json = buf;
-            run_json += "\"fallbackReason\": \"" +
-                        json::escape(result.fallbackReason) +
-                        "\", ";
-            std::snprintf(buf, sizeof(buf),
-                          "\"ms\": %.4f, \"instances\": %llu, "
-                          "\"loads\": %llu, \"stores\": %llu, ",
-                          result.stats.seconds * 1e3,
-                          (unsigned long long)result.stats.instances,
-                          (unsigned long long)result.stats.loads,
-                          (unsigned long long)result.stats.stores);
-            run_json += buf;
             const exec::ParRunStats &p = result.par;
-            std::snprintf(
-                buf, sizeof(buf),
-                "\"par\": {\"threads\": %u, \"strategy\": \"%s\", "
-                "\"regionsParallel\": %llu, "
-                "\"regionsSequential\": %llu, ",
-                p.threads, exec::parStrategyName(p.strategy),
-                (unsigned long long)p.regionsParallel,
-                (unsigned long long)p.regionsSequential);
-            run_json += buf;
-            std::snprintf(
-                buf, sizeof(buf),
-                "\"tilesExecuted\": %llu, \"waits\": %llu, "
-                "\"criticalPath\": %llu, ",
-                (unsigned long long)p.tilesExecuted,
-                (unsigned long long)p.waits,
-                (unsigned long long)p.criticalPath);
-            run_json += buf;
-            run_json +=
-                "\"fallbackReason\": \"" +
-                json::escape(result.parFallbackReason) +
-                "\"}, ";
-            std::snprintf(
-                buf, sizeof(buf),
-                "\"simd\": {\"mode\": \"%s\", \"width\": %u, "
-                "\"loops\": %llu, \"lanes\": %llu, ",
-                exec::simdModeName(result.simd), exec::simdWidth(),
-                (unsigned long long)result.stats.simdLoops,
-                (unsigned long long)result.stats.simdLanes);
-            run_json += buf;
-            run_json +=
-                "\"fallbackReason\": \"" +
-                json::escape(result.simdFallbackReason) +
-                "\"}}";
-            out.insert(out.size() - 1, run_json);
+            json::Value par;
+            par.set("threads", p.threads);
+            par.set("strategy", exec::parStrategyName(p.strategy));
+            par.set("regionsParallel", p.regionsParallel);
+            par.set("regionsSequential", p.regionsSequential);
+            par.set("tilesExecuted", p.tilesExecuted);
+            par.set("waits", p.waits);
+            par.set("criticalPath", p.criticalPath);
+            par.set("fallbackReason", result.parFallbackReason);
+            json::Value sv;
+            sv.set("mode", exec::simdModeName(result.simd));
+            sv.set("width", exec::simdWidth());
+            sv.set("loops", result.stats.simdLoops);
+            sv.set("lanes", result.stats.simdLanes);
+            sv.set("fallbackReason", result.simdFallbackReason);
+            json::Value run;
+            run.set("requestedTier", exec::tierName(tier));
+            run.set("tier", exec::tierName(result.tier));
+            run.set("fallbackReason", result.fallbackReason);
+            run.set("ms", result.stats.seconds * 1e3);
+            run.set("instances", result.stats.instances);
+            run.set("loads", result.stats.loads);
+            run.set("stores", result.stats.stores);
+            run.set("par", std::move(par));
+            run.set("simd", std::move(sv));
+            out.set("run", std::move(run));
         }
-        std::printf("%s\n", out.c_str());
+        std::printf("%s\n", json::dump(out).c_str());
     } else {
         // emit == "c"; the spelling was validated up front.
         std::printf("%s", exec::emitNativeSource(*program,

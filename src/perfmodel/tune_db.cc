@@ -1,11 +1,15 @@
 #include "perfmodel/tune_db.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "pres/row_hash.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace polyfuse {
@@ -13,8 +17,8 @@ namespace perfmodel {
 
 namespace {
 
-/** Format @p ms exactly as save() writes it; the checksum covers
- *  this spelling so text -> strtod -> text round trips verify. */
+/** The spelling of @p ms the checksum covers (6 decimals); save()
+ *  stores modeledMs at exactly this precision (see stored()). */
 std::string
 canonicalMs(double ms)
 {
@@ -33,184 +37,146 @@ canonicalCoeff(double c)
     return std::string(buf);
 }
 
-/**
- * A tiny recursive-descent reader for exactly the subset save()
- * emits (objects, arrays, strings without escapes beyond \" and \\,
- * numbers, and the known keys). Anything else fails the load -- the
- * store is ours to write, so unknown shapes mean corruption or a
- * foreign file, and refusing beats guessing.
- */
-struct Reader
+/** The value @p canonical spells: save() stores each number at the
+ *  precision its checksum covers, so no digit on disk is unguarded. */
+double
+stored(const std::string &canonical)
 {
-    const std::string &s;
-    size_t pos = 0;
-
-    explicit Reader(const std::string &text) : s(text) {}
-
-    void
-    ws()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    lit(char c)
-    {
-        ws();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    string(std::string *out)
-    {
-        ws();
-        if (pos >= s.size() || s[pos] != '"')
-            return false;
-        ++pos;
-        out->clear();
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos++];
-            if (c == '\\') {
-                if (pos >= s.size())
-                    return false;
-                char e = s[pos++];
-                if (e == '"' || e == '\\')
-                    out->push_back(e);
-                else
-                    return false;
-            } else {
-                out->push_back(c);
-            }
-        }
-        if (pos >= s.size())
-            return false;
-        ++pos; // closing quote
-        return true;
-    }
-
-    bool
-    number(double *out)
-    {
-        ws();
-        char *end = nullptr;
-        double v = std::strtod(s.c_str() + pos, &end);
-        if (!end || end == s.c_str() + pos)
-            return false;
-        pos = size_t(end - s.c_str());
-        *out = v;
-        return true;
-    }
-};
-
-bool
-parseEntry(Reader &r, std::string *fp_hex, TuneEntry *entry,
-           std::string *crc_hex)
-{
-    if (!r.lit('{'))
-        return false;
-    bool first = true;
-    while (true) {
-        r.ws();
-        if (r.lit('}'))
-            break;
-        if (!first && !r.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!r.string(&key) || !r.lit(':'))
-            return false;
-        if (key == "fp") {
-            if (!r.string(fp_hex))
-                return false;
-        } else if (key == "crc") {
-            if (!r.string(crc_hex))
-                return false;
-        } else if (key == "strategy") {
-            if (!r.string(&entry->strategy))
-                return false;
-        } else if (key == "tier") {
-            if (!r.string(&entry->tier))
-                return false;
-        } else if (key == "tiles") {
-            if (!r.lit('['))
-                return false;
-            entry->tiles.clear();
-            if (!r.lit(']')) {
-                do {
-                    double v;
-                    if (!r.number(&v))
-                        return false;
-                    entry->tiles.push_back(int64_t(v));
-                } while (r.lit(','));
-                if (!r.lit(']'))
-                    return false;
-            }
-        } else if (key == "modeledMs") {
-            if (!r.number(&entry->modeledMs))
-                return false;
-        } else if (key == "evaluated") {
-            double v;
-            if (!r.number(&v))
-                return false;
-            entry->evaluated = unsigned(v);
-        } else if (key == "kind") {
-            if (!r.string(&entry->kind))
-                return false;
-        } else {
-            return false; // unknown key: not our file
-        }
-    }
-    return !fp_hex->empty();
+    return std::strtod(canonical.c_str(), nullptr);
 }
 
+/** @p v as an integer in [@p lo, @p hi]. */
 bool
-parseModel(Reader &r, ModelFit *fit, std::string *crc_hex)
+asInt(const json::Value &v, double lo, double hi, int64_t *out)
 {
-    if (!r.lit('{'))
+    if (!v.isNumber() || v.number != std::trunc(v.number) ||
+        v.number < lo || v.number > hi)
         return false;
-    bool first = true;
-    while (true) {
-        r.ws();
-        if (r.lit('}'))
-            break;
-        if (!first && !r.lit(','))
-            return false;
-        first = false;
-        std::string key;
-        if (!r.string(&key) || !r.lit(':'))
-            return false;
-        double v;
-        if (key == "cCompute") {
-            if (!r.number(&fit->cCompute))
+    *out = int64_t(v.number);
+    return true;
+}
+
+/** Skip whitespace, then consume @p c. */
+bool
+consume(const std::string &text, size_t *pos, char c)
+{
+    size_t at = text.find_first_not_of(" \t\n\r", *pos);
+    if (at == std::string::npos || text[at] != c)
+        return false;
+    *pos = at + 1;
+    return true;
+}
+
+/** Consume `@p open "name":` -- the start of a member. */
+bool
+member(const std::string &text, size_t *pos, char open,
+       const char *name)
+{
+    size_t at = *pos;
+    json::Value key;
+    if (!consume(text, &at, open) || !json::parseAt(text, &at, &key) ||
+        key.string != name || !consume(text, &at, ':'))
+        return false;
+    *pos = at;
+    return true;
+}
+
+/** Offset of the first record header at or after @p from: a '{'
+ *  whose first key is "fp" (save() always writes it first). */
+size_t
+nextRecord(const std::string &text, size_t from)
+{
+    for (size_t at = text.find('{', from); at != std::string::npos;
+         at = text.find('{', at + 1)) {
+        size_t key = text.find_first_not_of(" \t\n\r", at + 1);
+        if (key != std::string::npos &&
+            text.compare(key, 4, "\"fp\"") == 0)
+            return at;
+    }
+    return std::string::npos;
+}
+
+/**
+ * The entry in record @p v and its key, when every member is one
+ * save() writes, with its type, and the checksum verifies. Anything
+ * else is damage: the store is ours to write, so refusing beats
+ * guessing.
+ */
+bool
+decodeEntry(const json::Value &v, std::string *fp_hex,
+            TuneEntry *entry)
+{
+    if (!v.isObject())
+        return false;
+    std::string crc;
+    for (const auto &[key, f] : v.object) {
+        int64_t n;
+        if (key == "fp" || key == "strategy" || key == "tier" ||
+            key == "kind" || key == "crc") {
+            if (!f.isString())
                 return false;
-        } else if (key == "cMem") {
-            if (!r.number(&fit->cMem))
+            (key == "fp"         ? *fp_hex
+             : key == "strategy" ? entry->strategy
+             : key == "tier"     ? entry->tier
+             : key == "kind"     ? entry->kind
+                                 : crc) = f.string;
+        } else if (key == "tiles") {
+            if (!f.isArray())
                 return false;
-        } else if (key == "cTraffic") {
-            if (!r.number(&fit->cTraffic))
+            entry->tiles.clear();
+            for (const auto &t : f.array) {
+                if (!asInt(t, -json::kMaxExactInt, json::kMaxExactInt, &n))
+                    return false;
+                entry->tiles.push_back(n);
+            }
+        } else if (key == "modeledMs") {
+            if (!f.isNumber())
                 return false;
-        } else if (key == "cTile") {
-            if (!r.number(&fit->cTile))
+            entry->modeledMs = f.number;
+        } else if (key == "evaluated") {
+            if (!asInt(f, 0, UINT32_MAX, &n))
                 return false;
-        } else if (key == "samples") {
-            if (!r.number(&v))
-                return false;
-            fit->samples = uint64_t(v);
-        } else if (key == "crc") {
-            if (!r.string(crc_hex))
-                return false;
+            entry->evaluated = unsigned(n);
         } else {
             return false;
         }
     }
-    return true;
+    pres::Fingerprint fp;
+    return pres::parseFingerprint(*fp_hex, &fp) &&
+           crc == checksumHex(recordChecksum(*fp_hex, *entry));
+}
+
+/** The calibration in model section @p v, under decodeEntry's
+ *  rules. */
+bool
+decodeModel(const json::Value &v, ModelFit *fit)
+{
+    if (!v.isObject())
+        return false;
+    std::string crc;
+    for (const auto &[key, f] : v.object) {
+        int64_t n;
+        if (key == "cCompute" || key == "cMem" || key == "cTraffic" ||
+            key == "cTile") {
+            if (!f.isNumber())
+                return false;
+            (key == "cCompute" ? fit->cCompute
+             : key == "cMem"   ? fit->cMem
+             : key == "cTraffic" ? fit->cTraffic
+                                 : fit->cTile) = f.number;
+        } else if (key == "samples") {
+            if (!asInt(f, 0, json::kMaxExactInt, &n))
+                return false;
+            fit->samples = uint64_t(n);
+        } else if (key == "crc") {
+            if (!f.isString())
+                return false;
+            crc = f.string;
+        } else {
+            return false;
+        }
+    }
+    return crc == checksumHex(modelChecksum(*fit));
 }
 
 } // namespace
@@ -279,6 +245,7 @@ TuneDb::load()
 {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
+    fit_ = ModelFit();
     hasFit_ = false;
     lastLoadDropped_ = 0;
     std::ifstream in(path_);
@@ -286,7 +253,7 @@ TuneDb::load()
         return true; // missing file: an empty store
     std::ostringstream buf;
     buf << in.rdbuf();
-    std::string text = buf.str();
+    const std::string text = buf.str();
 
     // The header must spell `{"version": 1` or `{"version": 2`
     // before anything else (save() always writes it first). A wrong
@@ -295,96 +262,72 @@ TuneDb::load()
     // cannot vouch for. Version 1 is the pre-model schema -- same
     // record format, no "model" section, no "kind" field -- and
     // loads cleanly.
-    Reader r(text);
-    {
-        double v;
-        std::string key;
-        if (!r.lit('{') || !r.string(&key) || key != "version" ||
-            !r.lit(':') || !r.number(&v) || (v != 1 && v != 2)) {
-            warn("tune db " + path_ +
-                 ": not a version-1/2 polyfuse store; starting "
-                 "empty");
-            return false;
-        }
+    size_t pos = 0;
+    json::Value version;
+    if (!member(text, &pos, '{', "version") ||
+        !json::parseAt(text, &pos, &version) ||
+        (version.number != 1 && version.number != 2)) {
+        warn("tune db " + path_ +
+             ": not a version-1/2 polyfuse store; starting empty");
+        return false;
     }
 
     // From here on the file is ours, so damage means truncation or
-    // bit rot. Salvage every record whose per-record checksum still
-    // verifies; drop (and count) the rest. A structurally broken
-    // record aborts its parse mid-stream, so resync by scanning for
-    // the next record header instead of giving up on the tail.
-    std::map<std::string, TuneEntry> parsed;
-    bool structure_ok = false;
+    // bit rot. The optional calibration section comes first; a
+    // damaged fit is dropped on its own (guided search falls back to
+    // the built-in calibration) without touching the records.
     bool model_dropped = false;
-    std::string key;
-    bool have_key = r.lit(',') && r.string(&key);
-    if (have_key && key == "model") {
-        // The optional calibration section. A damaged fit is
-        // dropped on its own (guided search falls back to the
-        // built-in calibration); the entries after it are still
-        // salvaged.
-        size_t model_start = r.pos;
-        ModelFit mf;
-        std::string crc;
-        bool ok = r.lit(':') && parseModel(r, &mf, &crc) &&
-                  crc == checksumHex(modelChecksum(mf));
-        if (ok) {
-            fit_ = mf;
-            hasFit_ = true;
-            have_key = r.lit(',') && r.string(&key);
-        } else {
-            model_dropped = true;
-            have_key = false;
-            size_t next = text.find("\"entries\"", model_start);
-            if (next != std::string::npos) {
-                r.pos = next;
-                have_key = r.string(&key);
-            }
-        }
+    size_t at = pos;
+    if (member(text, &at, ',', "model")) {
+        json::Value model;
+        hasFit_ = json::parseAt(text, &at, &model) &&
+                  decodeModel(model, &fit_);
+        model_dropped = !hasFit_;
+        if (hasFit_)
+            pos = at;
     }
-    if (have_key) {
-        if (key == "entries" && r.lit(':') && r.lit('[')) {
-            if (r.lit(']')) {
-                structure_ok = r.lit('}');
-            } else {
-                while (true) {
-                    size_t start = r.pos;
-                    std::string hex, crc;
-                    TuneEntry entry;
-                    pres::Fingerprint fp;
-                    bool ok =
-                        parseEntry(r, &hex, &entry, &crc) &&
-                        pres::parseFingerprint(hex, &fp) &&
-                        crc == checksumHex(recordChecksum(hex, entry));
-                    if (ok) {
-                        parsed[hex] = std::move(entry);
-                        if (r.lit(','))
-                            continue;
-                        structure_ok = r.lit(']') && r.lit('}');
-                        break;
-                    }
-                    ++lastLoadDropped_;
-                    // Resync: the next record opens with the "fp"
-                    // key save() always emits first. `start` may sit
-                    // on whitespace before the failed record's own
-                    // header, so locate that header first and search
-                    // strictly past it -- otherwise the same damaged
-                    // record would be re-parsed and double-counted.
-                    size_t here = text.find("{\"fp\"", start);
-                    size_t next =
-                        here == std::string::npos
-                            ? std::string::npos
-                            : text.find("{\"fp\"", here + 1);
-                    if (next == std::string::npos)
-                        break;
-                    r.pos = next;
-                }
-            }
+
+    // The records. Each is found by its header and parsed on its
+    // own, so damage inside one record can neither hide nor swallow
+    // an intact neighbour. Between two records there should be a
+    // bare separator; a '{' there opened a record whose header was
+    // damaged, and counts as one dropped record.
+    bool intact = !model_dropped &&
+                  member(text, &pos, ',', "entries") &&
+                  consume(text, &pos, '[');
+    if (!intact)
+        pos = nextRecord(text, pos);
+    bool first = true;
+    while (pos != std::string::npos) {
+        size_t header = nextRecord(text, pos);
+        std::string gap;
+        for (size_t i = pos; i < std::min(header, text.size()); ++i) {
+            lastLoadDropped_ += text[i] == '{';
+            if (!std::isspace((unsigned char)text[i]))
+                gap += text[i];
+        }
+        intact = intact &&
+                 gap == (header == std::string::npos ? "]}"
+                         : first                     ? ""
+                                                     : ",");
+        if (header == std::string::npos)
+            break;
+        first = false;
+        size_t end = header;
+        json::Value record;
+        std::string hex;
+        TuneEntry entry;
+        if (json::parseAt(text, &end, &record) &&
+            decodeEntry(record, &hex, &entry)) {
+            entries_[hex] = std::move(entry);
+            pos = end;
+        } else {
+            ++lastLoadDropped_;
+            pos = header + 1;
         }
     }
 
-    entries_ = std::move(parsed);
-    if (lastLoadDropped_ == 0 && structure_ok && !model_dropped)
+    if (intact && lastLoadDropped_ == 0)
         return true;
     warn("tune db " + path_ + ": dropped " +
          std::to_string(lastLoadDropped_) +
@@ -399,55 +342,42 @@ bool
 TuneDb::save() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::string out = "{\"version\": 2, ";
+    json::Value doc;
+    doc.set("version", 2);
     if (hasFit_) {
-        out += "\"model\": {";
-        out += "\"cCompute\": " + canonicalCoeff(fit_.cCompute);
-        out += ", \"cMem\": " + canonicalCoeff(fit_.cMem);
-        out += ", \"cTraffic\": " + canonicalCoeff(fit_.cTraffic);
-        out += ", \"cTile\": " + canonicalCoeff(fit_.cTile);
-        out += ", \"samples\": " + std::to_string(fit_.samples);
-        out += ", \"crc\": \"" + checksumHex(modelChecksum(fit_)) +
-               "\"";
-        out += "}, ";
+        json::Value model;
+        model.set("cCompute", stored(canonicalCoeff(fit_.cCompute)));
+        model.set("cMem", stored(canonicalCoeff(fit_.cMem)));
+        model.set("cTraffic", stored(canonicalCoeff(fit_.cTraffic)));
+        model.set("cTile", stored(canonicalCoeff(fit_.cTile)));
+        model.set("samples", fit_.samples);
+        model.set("crc", checksumHex(modelChecksum(fit_)));
+        doc.set("model", std::move(model));
     }
-    out += "\"entries\": [";
-    char buf[64];
-    bool first = true;
-    for (const auto &kv : entries_) {
-        if (!first)
-            out += ", ";
-        first = false;
-        const TuneEntry &e = kv.second;
-        out += "{\"fp\": \"" + kv.first + "\"";
-        out += ", \"strategy\": \"" + e.strategy + "\"";
-        out += ", \"tiles\": [";
-        for (size_t i = 0; i < e.tiles.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += std::to_string(e.tiles[i]);
-        }
-        out += "]";
-        out += ", \"tier\": \"" + e.tier + "\"";
-        std::snprintf(buf, sizeof(buf), "%.6f", e.modeledMs);
-        out += ", \"modeledMs\": " + std::string(buf);
-        out += ", \"evaluated\": " + std::to_string(e.evaluated);
+    json::Value records(json::Value::Kind::Array);
+    for (const auto &[hex, e] : entries_) {
+        json::Value r;
+        r.set("fp", hex);
+        r.set("strategy", e.strategy);
+        r.set("tiles", e.tiles);
+        r.set("tier", e.tier);
+        r.set("modeledMs", stored(canonicalMs(e.modeledMs)));
+        r.set("evaluated", e.evaluated);
         // Omitted for "exact": those records (and their checksums)
         // stay byte-compatible with schema version 1.
         if (e.kind != "exact")
-            out += ", \"kind\": \"" + e.kind + "\"";
-        out += ", \"crc\": \"" +
-               checksumHex(recordChecksum(kv.first, e)) + "\"";
-        out += "}";
+            r.set("kind", e.kind);
+        r.set("crc", checksumHex(recordChecksum(hex, e)));
+        records.push(std::move(r));
     }
-    out += "]}\n";
+    doc.set("entries", std::move(records));
 
     std::string tmp = path_ + ".tmp";
     {
         std::ofstream f(tmp, std::ios::trunc);
         if (!f.is_open())
             return false;
-        f << out;
+        f << json::dump(doc) << '\n';
         if (!f.good())
             return false;
     }

@@ -29,13 +29,14 @@
  *     ir::mixProgramShape that seed guided candidate order.
  *
  * Each record carries its own checksum (FNV-1a over a canonical
- * serialization of the record, pres/row_hash.hh mixing). A store is
- * long-lived mutable state on disk, so load() assumes bit rot
- * happens: records whose checksum fails -- byte flips, hand edits,
- * truncated tails -- are dropped with a warning while every
- * verifying record is salvaged, and the next save() rewrites a
- * clean file. Only a wrong/missing version (a foreign file, not our
- * damage) rejects the whole store.
+ * serialization of the record, pres/row_hash.hh mixing; numbers are
+ * stored at exactly the precision it covers). A store is long-lived
+ * mutable state on disk, so load() assumes bit rot happens: it parses
+ * each record alone, found by its `{"fp"` header, so records whose
+ * checksum fails -- byte flips, hand edits, truncated tails -- are
+ * dropped with a warning while every intact record is salvaged, and
+ * the next save() rewrites a clean file. Only a wrong/missing version
+ * (a foreign file, not our damage) rejects the whole store.
  *
  * Keys are pres::Fingerprint::hex() spellings of whatever the caller
  * fingerprinted -- autotuneTileSizes keys on the program structure
@@ -96,13 +97,13 @@ class TuneDb
      * Damage-tolerant: records failing their per-record checksum
      * are dropped (counted in lastLoadDropped()) and the rest are
      * salvaged. @return true only for a fully clean load; false
-     * after any salvage, or -- with an empty map -- for foreign
-     * files (wrong/missing version).
+     * after any salvage or damage between records, or -- with an
+     * empty map -- for foreign files (wrong/missing version).
      */
     bool load();
 
-    /** Records dropped by the most recent load() (corrupt or
-     *  checksum-mismatched). */
+    /** Records dropped by the most recent load(): corrupt ones, and
+     *  one per '{' in the record list that opens no record header. */
     size_t lastLoadDropped() const;
 
     /** Write the store atomically (temp + rename). @return false

@@ -1,8 +1,8 @@
 #include "service/protocol.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -155,11 +155,13 @@ parseErrorKind(const std::string &name, ErrorKind *out)
 
 namespace {
 
+/** A non-negative integer up to 2^53, where a double is exact. */
 bool
 asUint(const json::Value &v, uint64_t *out)
 {
     if (!v.isNumber() || v.number < 0 ||
-        v.number != std::floor(v.number) || v.number > 1e18)
+        v.number != std::floor(v.number) ||
+        v.number > json::kMaxExactInt)
         return false;
     *out = uint64_t(v.number);
     return true;
@@ -180,25 +182,17 @@ asTiles(const json::Value &v, std::vector<int64_t> *out)
     return true;
 }
 
-std::string
-tilesJson(const std::vector<int64_t> &tiles)
-{
-    std::string out = "[";
-    for (size_t i = 0; i < tiles.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(tiles[i]);
-    }
-    return out + "]";
-}
-
-std::string
-numJson(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return std::string(buf);
-}
+/** The "server" object's counters, in wire order. */
+const std::pair<const char *, uint64_t ServerStats::*>
+    kServerCounters[] = {
+        {"accepted", &ServerStats::accepted},
+        {"completed", &ServerStats::completed},
+        {"shed", &ServerStats::shed},
+        {"retries", &ServerStats::retries},
+        {"errors", &ServerStats::errors},
+        {"timeouts", &ServerStats::timeouts},
+        {"cacheHits", &ServerStats::cacheHits},
+};
 
 bool
 fail(std::string *error, const std::string &msg)
@@ -213,27 +207,27 @@ fail(std::string *error, const std::string &msg)
 std::string
 encodeRequest(const Request &req)
 {
-    std::string out = "{\"op\": \"" + json::escape(req.op) + "\"";
-    out += ", \"id\": " + std::to_string(req.id);
-    out += ", \"workload\": \"" + json::escape(req.workload) + "\"";
+    json::Value out;
+    out.set("op", req.op);
+    out.set("id", req.id);
+    out.set("workload", req.workload);
     if (req.rows > 0)
-        out += ", \"rows\": " + std::to_string(req.rows);
+        out.set("rows", req.rows);
     if (req.cols > 0)
-        out += ", \"cols\": " + std::to_string(req.cols);
-    out += ", \"strategy\": \"" + json::escape(req.strategy) + "\"";
+        out.set("cols", req.cols);
+    out.set("strategy", req.strategy);
     if (req.tilesGiven)
-        out += ", \"tiles\": " + tilesJson(req.tiles);
+        out.set("tiles", req.tiles);
     if (!req.innerTiles.empty())
-        out += ", \"innerTiles\": " + tilesJson(req.innerTiles);
-    out += ", \"tier\": \"" + json::escape(req.tier) + "\"";
-    out += std::string(", \"run\": ") +
-           (req.run ? "true" : "false");
+        out.set("innerTiles", req.innerTiles);
+    out.set("tier", req.tier);
+    out.set("run", req.run);
     if (req.deadlineMs > 0)
-        out += ", \"deadlineMs\": " + numJson(req.deadlineMs);
-    out += ", \"threads\": " + std::to_string(req.threads);
-    out += ", \"par\": \"" + json::escape(req.par) + "\"";
-    out += ", \"simd\": \"" + json::escape(req.simd) + "\"";
-    return out + "}";
+        out.set("deadlineMs", req.deadlineMs);
+    out.set("threads", req.threads);
+    out.set("par", req.par);
+    out.set("simd", req.simd);
+    return json::dump(out);
 }
 
 bool
@@ -325,60 +319,40 @@ decodeRequest(const std::string &payload, Request *out,
 std::string
 encodeResponse(const Response &resp)
 {
-    std::string out = "{\"id\": " + std::to_string(resp.id);
-    out += std::string(", \"ok\": ") + (resp.ok ? "true" : "false");
+    json::Value out;
+    out.set("id", resp.id);
+    out.set("ok", resp.ok);
     if (!resp.ok) {
-        out += ", \"error\": {\"kind\": \"";
-        out += errorKindName(resp.kind);
-        out += "\", \"message\": \"" + json::escape(resp.message) +
-               "\"}";
+        json::Value err;
+        err.set("kind", errorKindName(resp.kind));
+        err.set("message", resp.message);
+        out.set("error", std::move(err));
     } else {
-        out += ", \"result\": {";
-        out += "\"fingerprint\": \"" +
-               json::escape(resp.fingerprint) + "\"";
-        out += ", \"requestedTier\": \"" +
-               json::escape(resp.requestedTier) + "\"";
-        out += ", \"tier\": \"" + json::escape(resp.tier) + "\"";
-        out += ", \"strategy\": \"" + json::escape(resp.strategy) +
-               "\"";
-        out += ", \"requestedStrategy\": \"" +
-               json::escape(resp.requestedStrategy) + "\"";
-        out += ", \"fallbackTrail\": [";
-        for (size_t i = 0; i < resp.fallbackTrail.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += "\"" + json::escape(resp.fallbackTrail[i]) + "\"";
-        }
-        out += "]";
-        out += ", \"tierFallbackReason\": \"" +
-               json::escape(resp.tierFallbackReason) + "\"";
-        out += std::string(", \"fromCache\": ") +
-               (resp.fromCache ? "true" : "false");
-        out += std::string(", \"downgraded\": ") +
-               (resp.downgraded ? "true" : "false");
-        out += ", \"compileMs\": " + numJson(resp.compileMs);
-        out += ", \"runMs\": " + numJson(resp.runMs);
-        out += ", \"queueMs\": " + numJson(resp.queueMs);
-        out += ", \"retries\": " + std::to_string(resp.retries);
-        out += ", \"bufferHash\": \"" +
-               json::escape(resp.bufferHash) + "\"";
-        out += ", \"backend\": \"" + json::escape(resp.backend) +
-               "\"";
-        out += "}";
+        json::Value r;
+        r.set("fingerprint", resp.fingerprint);
+        r.set("requestedTier", resp.requestedTier);
+        r.set("tier", resp.tier);
+        r.set("strategy", resp.strategy);
+        r.set("requestedStrategy", resp.requestedStrategy);
+        r.set("fallbackTrail", resp.fallbackTrail);
+        r.set("tierFallbackReason", resp.tierFallbackReason);
+        r.set("fromCache", resp.fromCache);
+        r.set("downgraded", resp.downgraded);
+        r.set("compileMs", resp.compileMs);
+        r.set("runMs", resp.runMs);
+        r.set("queueMs", resp.queueMs);
+        r.set("retries", resp.retries);
+        r.set("bufferHash", resp.bufferHash);
+        r.set("backend", resp.backend);
+        out.set("result", std::move(r));
     }
     if (resp.server.present) {
-        const ServerStats &s = resp.server;
-        out += ", \"server\": {";
-        out += "\"accepted\": " + std::to_string(s.accepted);
-        out += ", \"completed\": " + std::to_string(s.completed);
-        out += ", \"shed\": " + std::to_string(s.shed);
-        out += ", \"retries\": " + std::to_string(s.retries);
-        out += ", \"errors\": " + std::to_string(s.errors);
-        out += ", \"timeouts\": " + std::to_string(s.timeouts);
-        out += ", \"cacheHits\": " + std::to_string(s.cacheHits);
-        out += "}";
+        json::Value server;
+        for (const auto &[name, field] : kServerCounters)
+            server.set(name, resp.server.*field);
+        out.set("server", std::move(server));
     }
-    return out + "}";
+    return json::dump(out);
 }
 
 namespace {
@@ -458,23 +432,13 @@ decodeServer(const json::Value &v, ServerStats *s,
         if (!asUint(kv.second, &u))
             return fail(error, "server counters must be "
                                "non-negative integers");
-        if (kv.first == "accepted")
-            s->accepted = u;
-        else if (kv.first == "completed")
-            s->completed = u;
-        else if (kv.first == "shed")
-            s->shed = u;
-        else if (kv.first == "retries")
-            s->retries = u;
-        else if (kv.first == "errors")
-            s->errors = u;
-        else if (kv.first == "timeouts")
-            s->timeouts = u;
-        else if (kv.first == "cacheHits")
-            s->cacheHits = u;
-        else
+        const auto *c = std::find_if(
+            std::begin(kServerCounters), std::end(kServerCounters),
+            [&](const auto &c) { return kv.first == c.first; });
+        if (c == std::end(kServerCounters))
             return fail(error, "unknown server counter '" +
                                    kv.first + "'");
+        s->*c->second = u;
     }
     return true;
 }

@@ -71,7 +71,7 @@ bool writeFrame(int fd, const std::string &payload,
 struct Request
 {
     std::string op = "compile"; ///< compile | ping | stats | shutdown
-    uint64_t id = 0;            ///< echoed verbatim in the response
+    uint64_t id = 0; ///< echoed verbatim; 0..2^53, else badrequest
 
     // compile fields (ignored by the other ops)
     std::string workload;

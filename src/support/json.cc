@@ -1,5 +1,8 @@
 #include "support/json.hh"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -149,6 +152,23 @@ struct Parser
             pos = start;
             return fail("malformed number");
         }
+        // Refuse what a double cannot hold: a literal past its range,
+        // and an integer literal past 2^53, where a double skips
+        // integers (an id would silently come back rounded).
+        bool exact = std::isfinite(v);
+        if (exact && tok.find_first_of(".eE") == std::string::npos) {
+            uint64_t mag = 0;
+            const char *digits = tok.c_str() + (tok[0] == '-' ||
+                                                tok[0] == '+');
+            auto r = std::from_chars(digits, tok.c_str() + tok.size(),
+                                     mag);
+            exact = r.ec == std::errc() &&
+                    mag <= uint64_t(kMaxExactInt);
+        }
+        if (!exact) {
+            pos = start;
+            return fail("number out of range");
+        }
         *out = v;
         return true;
     }
@@ -247,6 +267,57 @@ struct Parser
     }
 };
 
+void
+writeNumber(std::string *out, double d)
+{
+    if (!std::isfinite(d)) {
+        *out += "null";
+        return;
+    }
+    char buf[32];
+    std::to_chars_result r;
+    // Integers up to 2^53 as plain digits (not "1e+08"), integral
+    // values past it in exponent form, which the parser accepts.
+    if (d != std::trunc(d))
+        r = std::to_chars(buf, buf + sizeof(buf), d);
+    else if (std::fabs(d) <= kMaxExactInt)
+        r = std::to_chars(buf, buf + sizeof(buf), int64_t(d));
+    else
+        r = std::to_chars(buf, buf + sizeof(buf), d,
+                          std::chars_format::scientific);
+    out->append(buf, r.ptr);
+}
+
+void
+writeValue(std::string *out, const Value &v)
+{
+    switch (v.kind) {
+      case Value::Kind::Null: *out += "null"; break;
+      case Value::Kind::Bool:
+        *out += v.boolean ? "true" : "false";
+        break;
+      case Value::Kind::Number: writeNumber(out, v.number); break;
+      case Value::Kind::String:
+        *out += '"' + escape(v.string) + '"';
+        break;
+      case Value::Kind::Array:
+      case Value::Kind::Object: {
+        bool obj = v.isObject();
+        *out += obj ? '{' : '[';
+        for (size_t i = 0; i < (obj ? v.object.size() : v.array.size());
+             ++i) {
+            if (i)
+                *out += ", ";
+            if (obj)
+                *out += '"' + escape(v.object[i].first) + "\": ";
+            writeValue(out, obj ? v.object[i].second : v.array[i]);
+        }
+        *out += obj ? '}' : ']';
+        break;
+      }
+    }
+}
+
 } // namespace
 
 const Value *
@@ -260,26 +331,86 @@ Value::get(const std::string &key) const
     return nullptr;
 }
 
+Value &
+Value::set(const std::string &key, Value v)
+{
+    if (kind == Kind::Null)
+        kind = Kind::Object;
+    auto it = std::find_if(object.begin(), object.end(),
+                           [&](const auto &kv) { return kv.first == key; });
+    if (it != object.end())
+        it->second = std::move(v);
+    else
+        object.emplace_back(key, std::move(v));
+    return *this;
+}
+
+Value &
+Value::push(Value v)
+{
+    if (kind == Kind::Null)
+        kind = Kind::Array;
+    array.push_back(std::move(v));
+    return *this;
+}
+
 bool
-parse(const std::string &text, Value *out, std::string *error)
+Value::operator==(const Value &other) const
+{
+    if (kind != other.kind)
+        return false;
+    switch (kind) {
+      case Kind::Null: return true;
+      case Kind::Bool: return boolean == other.boolean;
+      case Kind::Number: return number == other.number;
+      case Kind::String: return string == other.string;
+      case Kind::Array: return array == other.array;
+      case Kind::Object: return object == other.object;
+    }
+    return false;
+}
+
+bool
+parseAt(const std::string &text, size_t *pos, Value *out,
+        std::string *error)
 {
     Parser p(text);
+    p.pos = *pos;
     Value v;
     if (!p.parseValue(&v, 0)) {
         if (error)
             *error = p.error;
         return false;
     }
+    *pos = p.pos;
+    *out = std::move(v);
+    return true;
+}
+
+bool
+parse(const std::string &text, Value *out, std::string *error)
+{
+    Parser p(text);
+    Value v;
+    bool ok = p.parseValue(&v, 0);
     p.ws();
-    if (p.pos != text.size()) {
-        if (error) {
-            p.fail("trailing garbage");
+    if (ok && p.pos != text.size())
+        ok = p.fail("trailing garbage");
+    if (!ok) {
+        if (error)
             *error = p.error;
-        }
         return false;
     }
     *out = std::move(v);
     return true;
+}
+
+std::string
+dump(const Value &v)
+{
+    std::string out;
+    writeValue(&out, v);
+    return out;
 }
 
 std::string

@@ -30,6 +30,7 @@
 #include "perfmodel/tune_db.hh"
 #include "pres/op_cache.hh"
 #include "pres/parser.hh"
+#include "support/logging.hh"
 #include "workloads/conv2d.hh"
 #include "workloads/equake.hh"
 
@@ -688,6 +689,182 @@ TEST(TuneDb, ChecksumCoversEveryFieldOfTheRecord)
     EXPECT_EQ(perfmodel::checksumHex(crc).size(), 16u);
     EXPECT_EQ(perfmodel::checksumHex(crc),
               perfmodel::checksumHex(crc));
+}
+
+/** Save a store of four records (one a "shape" record) behind a
+ *  model section to @p path; @return its text. */
+std::string
+saveFourRecordStore(const std::string &path)
+{
+    std::remove(path.c_str());
+    perfmodel::TuneDb db(path);
+    for (int i = 0; i < 4; ++i) {
+        perfmodel::TuneEntry entry = tuneEntry(i % 2 ? "minfuse" : "ours");
+        entry.tiles = {int64_t(16) << i, 8};
+        entry.modeledMs = 1.0 / 3 + i; // not exact at 6 decimals
+        if (i == 3)
+            entry.kind = "shape";
+        db.put(tuneKey("four-" + std::to_string(i)), entry);
+    }
+    perfmodel::ModelFit fit;
+    fit.cCompute = 1.0 / 7;
+    fit.cMem = 2.5e-7;
+    fit.cTraffic = 3;
+    fit.cTile = 0.0123456789123;
+    fit.samples = 40;
+    db.setModelFit(fit);
+    EXPECT_TRUE(db.save());
+    return readFileText(path);
+}
+
+/** Offsets of the record headers in a saved store's @p text. */
+std::vector<size_t>
+recordHeaders(const std::string &text)
+{
+    std::vector<size_t> out;
+    for (size_t at = text.find("{\"fp\""); at != std::string::npos;
+         at = text.find("{\"fp\"", at + 1))
+        out.push_back(at);
+    return out;
+}
+
+/** The key of the record whose header sits at @p at in @p text. */
+pres::Fingerprint
+recordKey(const std::string &text, size_t at)
+{
+    pres::Fingerprint fp;
+    EXPECT_TRUE(pres::parseFingerprint(text.substr(at + 8, 32), &fp))
+        << text.substr(at, 48);
+    return fp;
+}
+
+TEST(TuneDb, DamagedRecordHeaderLosesOnlyItsOwnRecord)
+{
+    std::string path =
+        testing::TempDir() + "polyfuse_tunedb_header.json";
+    std::string text = saveFourRecordStore(path);
+    auto headers = recordHeaders(text);
+    ASSERT_EQ(headers.size(), 4u);
+    std::vector<pres::Fingerprint> keys;
+    for (size_t at : headers)
+        keys.push_back(recordKey(text, at));
+    text[headers[1] + 2] = 'g'; // {"fp" -> {"gp" on record 2
+    writeFileText(path, text);
+
+    perfmodel::TuneDb db(path);
+    EXPECT_FALSE(db.load());
+    EXPECT_EQ(db.size(), 3u);
+    EXPECT_EQ(db.lastLoadDropped(), 1u);
+    perfmodel::TuneEntry got;
+    for (size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(db.find(keys[i], &got), i != 1) << "record " << i;
+    std::remove(path.c_str());
+}
+
+TEST(TuneDb, DamagedSeparatorLosesNoRecord)
+{
+    std::string path =
+        testing::TempDir() + "polyfuse_tunedb_separator.json";
+    std::string text = saveFourRecordStore(path);
+    auto headers = recordHeaders(text);
+    ASSERT_EQ(headers.size(), 4u);
+    ASSERT_EQ(text.compare(headers[1] - 2, 2, ", "), 0);
+    text.replace(headers[1] - 2, 2, ";;"); // the ", " before record 2
+    writeFileText(path, text);
+
+    perfmodel::TuneDb db(path);
+    EXPECT_FALSE(db.load()); // not clean: the next save() rewrites it
+    EXPECT_EQ(db.size(), 4u);
+    EXPECT_EQ(db.lastLoadDropped(), 0u);
+    std::remove(path.c_str());
+}
+
+/**
+ * Exhaustive mutation sweep over a saved store: every single-bit flip and
+ * every overwrite with a JSON structural byte after the version
+ * member, and every truncation point. load() never throws, keeps only
+ * records and a model equal to what was saved, and keeps every record
+ * whose bytes the mutation left alone.
+ */
+TEST(TuneDb, SurvivesEveryByteFlipAndTruncation)
+{
+    std::string path =
+        testing::TempDir() + "polyfuse_tunedb_mutation.json";
+    const std::string clean = saveFourRecordStore(path);
+    perfmodel::TuneDb db(path);
+    ASSERT_TRUE(db.load());
+    perfmodel::ModelFit saved_fit;
+    ASSERT_TRUE(db.modelFit(&saved_fit));
+    struct Record
+    {
+        size_t begin, end; // the record's '{' and '}'
+        pres::Fingerprint key;
+        perfmodel::TuneEntry entry;
+    };
+    std::vector<Record> records;
+    for (size_t at : recordHeaders(clean)) {
+        Record r{at, clean.find('}', at), recordKey(clean, at), {}};
+        ASSERT_TRUE(db.find(r.key, &r.entry));
+        records.push_back(r);
+    }
+    ASSERT_EQ(records.size(), 4u);
+
+    // Bytes [lo, hi) of the clean text were changed.
+    auto check = [&](const std::string &text, size_t lo, size_t hi,
+                     int mutation) {
+        writeFileText(path, text);
+        EXPECT_NO_THROW(db.load()) << lo << "/" << mutation;
+        size_t kept = 0;
+        for (const Record &r : records) {
+            perfmodel::TuneEntry got;
+            bool found = db.find(r.key, &got);
+            if (hi <= r.begin || lo > r.end) {
+                EXPECT_TRUE(found)
+                    << "intact record lost: offset " << lo << " "
+                    << mutation << "\n" << text;
+            }
+            if (!found)
+                continue;
+            ++kept;
+            EXPECT_EQ(got.strategy, r.entry.strategy) << lo;
+            EXPECT_EQ(got.tiles, r.entry.tiles) << lo;
+            EXPECT_EQ(got.tier, r.entry.tier) << lo;
+            EXPECT_EQ(got.modeledMs, r.entry.modeledMs) << lo;
+            EXPECT_EQ(got.evaluated, r.entry.evaluated) << lo;
+            EXPECT_EQ(got.kind, r.entry.kind) << lo;
+        }
+        EXPECT_EQ(db.size(), kept) << "foreign record kept: " << lo;
+        perfmodel::ModelFit fit;
+        if (db.modelFit(&fit)) {
+            EXPECT_EQ(fit.cCompute, saved_fit.cCompute) << lo;
+            EXPECT_EQ(fit.cMem, saved_fit.cMem) << lo;
+            EXPECT_EQ(fit.cTraffic, saved_fit.cTraffic) << lo;
+            EXPECT_EQ(fit.cTile, saved_fit.cTile) << lo;
+            EXPECT_EQ(fit.samples, saved_fit.samples) << lo;
+        }
+    };
+
+    // The sweep starts past the ',' that ends the version member: a
+    // digit there changes the version (2 -> 20), and a foreign
+    // version rejects the whole store by design.
+    setWarningsEnabled(false);
+    const std::string structural = "{}[]\",: 0e-";
+    for (size_t i = clean.find(',') + 1; i < clean.size(); ++i) {
+        std::string text = clean;
+        for (int bit = 0; bit < 8; ++bit) {
+            text[i] = char(clean[i] ^ (1 << bit));
+            check(text, i, i + 1, bit);
+        }
+        for (char c : structural) {
+            text[i] = c;
+            if (c != clean[i])
+                check(text, i, i + 1, c);
+        }
+    }
+    for (size_t n = 0; n < clean.size(); ++n)
+        check(clean.substr(0, n), n, clean.size(), -1);
+    setWarningsEnabled(true);
+    std::remove(path.c_str());
 }
 
 TEST(TuneDb, AutotuneWarmStartsFromTheStore)

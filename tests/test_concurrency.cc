@@ -191,8 +191,9 @@ TEST(Concurrency, CompileBatchInvariantInJobCount)
             }
             return s;
         };
-        EXPECT_EQ(stripMs(par.jobs[i].artifact.stats.json()),
-                  stripMs(seq.jobs[i].artifact.stats.json()));
+        EXPECT_EQ(
+            stripMs(json::dump(par.jobs[i].artifact.stats.json())),
+            stripMs(json::dump(seq.jobs[i].artifact.stats.json())));
     }
     // Batch failure capture: a throwing factory fails only its job.
     auto jobs = makeJobs();

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdint>
 #include <string>
 
@@ -17,6 +16,7 @@
 #include "driver/pipeline.hh"
 #include "exec/native.hh"
 #include "schedule/fusion.hh"
+#include "support/json.hh"
 #include "workloads/conv2d.hh"
 #include "workloads/pipelines.hh"
 
@@ -138,131 +138,24 @@ TEST(DriverStats, ComposeCountersSurfaceInReport)
     std::string report = state.stats.str();
     EXPECT_NE(report.find("Compose"), std::string::npos);
     EXPECT_NE(report.find("extensions"), std::string::npos);
-    std::string json = state.stats.json();
-    EXPECT_NE(json.find("\"passes\""), std::string::npos);
-    EXPECT_NE(json.find("\"Codegen\""), std::string::npos);
+    std::string text = json::dump(state.stats.json());
+    EXPECT_NE(text.find("\"passes\""), std::string::npos);
+    EXPECT_NE(text.find("\"Codegen\""), std::string::npos);
 }
 
-// --- Minimal JSON reader for the PassStats round-trip test --------
-// Parses exactly the subset PassStats::json() emits (objects, arrays,
-// strings with escapes, numbers) back into a PassStats, so
-// serialize -> parse -> serialize must reproduce the bytes.
-
-struct JsonReader
-{
-    const std::string &s;
-    size_t pos = 0;
-
-    explicit JsonReader(const std::string &text) : s(text) {}
-
-    void ws()
-    {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\n' || s[pos] == '\t'))
-            ++pos;
-    }
-    bool eat(char c)
-    {
-        ws();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-    void expect(char c)
-    {
-        ASSERT_TRUE(eat(c)) << "expected '" << c << "' at " << pos
-                            << " in " << s.substr(pos, 40);
-    }
-    std::string string()
-    {
-        ws();
-        EXPECT_EQ(s[pos], '"');
-        ++pos;
-        std::string out;
-        while (pos < s.size() && s[pos] != '"') {
-            char c = s[pos++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            char e = s[pos++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                out += char(std::stoi(s.substr(pos, 4), nullptr, 16));
-                pos += 4;
-                break;
-              }
-              default: ADD_FAILURE() << "bad escape " << e;
-            }
-        }
-        ++pos; // closing quote
-        return out;
-    }
-    double number()
-    {
-        ws();
-        size_t end = pos;
-        while (end < s.size() &&
-               (std::isdigit((unsigned char)s[end]) ||
-                s[end] == '-' || s[end] == '.' || s[end] == 'e'))
-            ++end;
-        double v = std::stod(s.substr(pos, end - pos));
-        pos = end;
-        return v;
-    }
-};
-
-/** Parse PassStats::json() text back into a PassStats. */
+/** Rebuild a PassStats from the object its json() wrote. */
 PassStats
-parsePassStats(const std::string &text)
+fromJson(const json::Value &v)
 {
     PassStats out;
-    JsonReader r(text);
-    r.expect('{');
-    EXPECT_EQ(r.string(), "passes");
-    r.expect(':');
-    r.expect('[');
-    if (!r.eat(']')) {
-        do {
-            PassStat ps;
-            r.expect('{');
-            EXPECT_EQ(r.string(), "name");
-            r.expect(':');
-            ps.name = r.string();
-            r.expect(',');
-            EXPECT_EQ(r.string(), "ms");
-            r.expect(':');
-            ps.ms = r.number();
-            r.expect(',');
-            EXPECT_EQ(r.string(), "counters");
-            r.expect(':');
-            r.expect('{');
-            if (!r.eat('}')) {
-                do {
-                    std::string key = r.string();
-                    r.expect(':');
-                    ps.counters.emplace_back(
-                        key, int64_t(r.number()));
-                } while (r.eat(','));
-                r.expect('}');
-            }
-            r.expect('}');
-            out.add(std::move(ps));
-        } while (r.eat(','));
-        r.expect(']');
+    for (const auto &p : v.get("passes")->array) {
+        PassStat ps;
+        ps.name = p.get("name")->string;
+        ps.ms = p.get("ms")->number;
+        for (const auto &[key, value] : p.get("counters")->object)
+            ps.counters.emplace_back(key, int64_t(value.number));
+        out.add(std::move(ps));
     }
-    // totalMs is derived; just require the key to be present.
-    r.expect(',');
-    EXPECT_EQ(r.string(), "totalMs");
     return out;
 }
 
@@ -283,43 +176,45 @@ TEST(DriverStats, JsonRoundTripsAndEscapes)
     b.ms = 0.25;
     stats.add(b);
 
-    std::string json = stats.json();
+    std::string text = json::dump(stats.json());
     // Escaping: raw specials never appear unescaped.
-    EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
-    EXPECT_NE(json.find("\\\\back"), std::string::npos);
-    EXPECT_NE(json.find("\\n"), std::string::npos);
-    EXPECT_NE(json.find("\\t"), std::string::npos);
-    EXPECT_NE(json.find("\\u0001"), std::string::npos);
-    EXPECT_EQ(json.find('\n'), std::string::npos);
+    EXPECT_NE(text.find("\\\"quoted\\\""), std::string::npos);
+    EXPECT_NE(text.find("\\\\back"), std::string::npos);
+    EXPECT_NE(text.find("\\n"), std::string::npos);
+    EXPECT_NE(text.find("\\t"), std::string::npos);
+    EXPECT_NE(text.find("\\u0001"), std::string::npos);
+    EXPECT_EQ(text.find('\n'), std::string::npos);
     // Deterministic key order: sorted, independent of insertion.
-    EXPECT_LT(json.find("\"alpha\""), json.find("\"mid\\\"key\""));
-    EXPECT_LT(json.find("\"mid\\\"key\""), json.find("\"zeta\""));
+    EXPECT_LT(text.find("\"alpha\""), text.find("\"mid\\\"key\""));
+    EXPECT_LT(text.find("\"mid\\\"key\""), text.find("\"zeta\""));
 
-    // Round trip: parse back and re-serialize to identical bytes,
-    // and the parsed struct preserves names and values.
-    PassStats parsed = parsePassStats(json);
-    EXPECT_EQ(parsed.json(), json);
-    ASSERT_EQ(parsed.passes().size(), 2u);
-    EXPECT_EQ(parsed.passes()[0].name, a.name);
-    EXPECT_EQ(parsed.passes()[0].counter("alpha"), -3);
-    EXPECT_EQ(parsed.passes()[0].counter("mid\"key"), 42);
-    EXPECT_EQ(parsed.passes()[0].counter("zeta"), 7);
-    EXPECT_DOUBLE_EQ(parsed.passes()[1].ms, 0.25);
+    // Round trip: the text parses back to the same tree, and the
+    // PassStats rebuilt from it re-serializes to identical bytes with
+    // names and values preserved.
+    json::Value parsed;
+    std::string err;
+    ASSERT_TRUE(json::parse(text, &parsed, &err)) << err;
+    ASSERT_TRUE(parsed == stats.json()) << text;
+    PassStats rebuilt = fromJson(parsed);
+    EXPECT_EQ(json::dump(rebuilt.json()), text);
+    ASSERT_EQ(rebuilt.passes().size(), 2u);
+    EXPECT_EQ(rebuilt.passes()[0].name, a.name);
+    EXPECT_EQ(rebuilt.passes()[0].counter("alpha"), -3);
+    EXPECT_EQ(rebuilt.passes()[0].counter("mid\"key"), 42);
+    EXPECT_EQ(rebuilt.passes()[0].counter("zeta"), 7);
+    EXPECT_EQ(rebuilt.passes()[1].ms, 0.25);
 
-    // A real pipeline report round-trips too. totalMs is derived
-    // (sum of the full-precision pass times, not of their 4-decimal
-    // prints), so it is normalized out of the comparison.
-    auto dropTotal = [](const std::string &j) {
-        return j.substr(0, j.rfind("\"totalMs\""));
-    };
+    // A real pipeline report round-trips byte for byte too, totalMs
+    // included: every number is written exactly.
     PipelineOptions opts;
     opts.strategy = Strategy::Ours;
     opts.tileSizes = {8, 8};
     auto state =
         Pipeline(opts).run(workloads::makeConv2D({16, 16, 3, 3}));
-    std::string real = state.stats.json();
-    EXPECT_EQ(dropTotal(parsePassStats(real).json()),
-              dropTotal(real));
+    std::string real = json::dump(state.stats.json());
+    ASSERT_TRUE(json::parse(real, &parsed, &err)) << err;
+    ASSERT_TRUE(parsed == state.stats.json()) << real;
+    EXPECT_EQ(json::dump(fromJson(parsed).json()), real);
 }
 
 TEST(DriverStrategy, NamesRoundTripThroughParser)

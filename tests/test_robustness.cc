@@ -505,9 +505,9 @@ TEST_F(Robustness, PoisonedJobFailsAloneInBatch)
     EXPECT_EQ(batchExitCode(batch, true), 1);
 
     // The failure is visible in the JSON report.
-    std::string json = batch.json();
-    EXPECT_NE(json.find("\"ok\": false"), std::string::npos);
-    EXPECT_NE(json.find("\"error\""), std::string::npos);
+    std::string text = json::dump(batch.json());
+    EXPECT_NE(text.find("\"ok\": false"), std::string::npos);
+    EXPECT_NE(text.find("\"error\""), std::string::npos);
 }
 
 TEST_F(Robustness, TimeoutDowngradesButSucceeds)
@@ -527,11 +527,11 @@ TEST_F(Robustness, TimeoutDowngradesButSucceeds)
     EXPECT_EQ(batchExitCode(batch, false), 0);
     EXPECT_EQ(batchExitCode(batch, true), 1);
 
-    std::string json = batch.json();
-    EXPECT_NE(json.find("\"strategy\": \"ours\""), std::string::npos);
-    EXPECT_NE(json.find("\"effective\": \"naive\""),
+    std::string text = json::dump(batch.json());
+    EXPECT_NE(text.find("\"strategy\": \"ours\""), std::string::npos);
+    EXPECT_NE(text.find("\"effective\": \"naive\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"downgrades\": 4"), std::string::npos);
+    EXPECT_NE(text.find("\"downgrades\": 4"), std::string::npos);
     std::string summary = batch.summary();
     EXPECT_NE(summary.find("downgraded to naive"), std::string::npos);
 }

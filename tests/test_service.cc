@@ -45,7 +45,9 @@ namespace {
 // Protocol: encode/decode round-trips and strict rejection.
 // ---------------------------------------------------------------
 
-TEST(ServiceProtocol, RequestRoundTripsThroughJson)
+/** A request with every field away from its default. */
+Request
+fullRequest()
 {
     Request req;
     req.op = "compile";
@@ -62,7 +64,75 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     req.deadlineMs = 250.5;
     req.threads = 4;
     req.par = "graph";
+    return req;
+}
 
+/** A request with every field defaulted but the workload. */
+Request
+bareRequest()
+{
+    Request bare;
+    bare.workload = "conv2d";
+    return bare;
+}
+
+/** A compile result with every field set. */
+Response
+okResponse()
+{
+    Response ok;
+    ok.id = 7;
+    ok.ok = true;
+    ok.fingerprint = "00ff00ff00ff00ff";
+    ok.requestedTier = "native";
+    ok.tier = "bytecode";
+    ok.strategy = "minfuse";
+    ok.requestedStrategy = "ours";
+    ok.fallbackTrail = {"ours", "hybridfuse"};
+    ok.tierFallbackReason = "cc exploded";
+    ok.fromCache = true;
+    ok.downgraded = true;
+    ok.compileMs = 1.5;
+    ok.runMs = 0.25;
+    ok.queueMs = 0.125;
+    ok.retries = 2;
+    ok.bufferHash = "deadbeefdeadbeef";
+    return ok;
+}
+
+/** A typed error. */
+Response
+errorResponse()
+{
+    Response bad;
+    bad.id = 9;
+    bad.ok = false;
+    bad.kind = ErrorKind::Overloaded;
+    bad.message = "come back later";
+    return bad;
+}
+
+/** The "stats" op's answer. */
+Response
+statsResponse()
+{
+    Response stats;
+    stats.id = 11;
+    stats.ok = true;
+    stats.server.present = true;
+    stats.server.accepted = 10;
+    stats.server.completed = 9;
+    stats.server.shed = 3;
+    stats.server.retries = 2;
+    stats.server.errors = 1;
+    stats.server.timeouts = 1;
+    stats.server.cacheHits = 5;
+    return stats;
+}
+
+TEST(ServiceProtocol, RequestRoundTripsThroughJson)
+{
+    const Request req = fullRequest();
     Request got;
     std::string err;
     ASSERT_TRUE(decodeRequest(encodeRequest(req), &got, &err)) << err;
@@ -82,9 +152,7 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(got.par, req.par);
 
     // A defaulted request survives too (tiles stay "not given").
-    Request bare;
-    bare.workload = "conv2d";
-    ASSERT_TRUE(decodeRequest(encodeRequest(bare), &got, &err))
+    ASSERT_TRUE(decodeRequest(encodeRequest(bareRequest()), &got, &err))
         << err;
     EXPECT_FALSE(got.tilesGiven);
     EXPECT_TRUE(got.run);
@@ -93,24 +161,7 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
 
 TEST(ServiceProtocol, ResponseRoundTripsOkErrorAndStats)
 {
-    Response ok;
-    ok.id = 7;
-    ok.ok = true;
-    ok.fingerprint = "00ff00ff00ff00ff";
-    ok.requestedTier = "native";
-    ok.tier = "bytecode";
-    ok.strategy = "minfuse";
-    ok.requestedStrategy = "ours";
-    ok.fallbackTrail = {"ours", "hybridfuse"};
-    ok.tierFallbackReason = "cc exploded";
-    ok.fromCache = true;
-    ok.downgraded = true;
-    ok.compileMs = 1.5;
-    ok.runMs = 0.25;
-    ok.queueMs = 0.125;
-    ok.retries = 2;
-    ok.bufferHash = "deadbeefdeadbeef";
-
+    const Response ok = okResponse();
     Response got;
     std::string err;
     ASSERT_TRUE(decodeResponse(encodeResponse(ok), &got, &err))
@@ -132,29 +183,15 @@ TEST(ServiceProtocol, ResponseRoundTripsOkErrorAndStats)
     EXPECT_EQ(got.retries, 2u);
     EXPECT_EQ(got.bufferHash, "deadbeefdeadbeef");
 
-    Response bad;
-    bad.id = 9;
-    bad.ok = false;
-    bad.kind = ErrorKind::Overloaded;
-    bad.message = "come back later";
-    ASSERT_TRUE(decodeResponse(encodeResponse(bad), &got, &err))
+    ASSERT_TRUE(decodeResponse(encodeResponse(errorResponse()), &got,
+                               &err))
         << err;
     EXPECT_FALSE(got.ok);
     EXPECT_EQ(got.kind, ErrorKind::Overloaded);
     EXPECT_EQ(got.message, "come back later");
 
-    Response stats;
-    stats.id = 11;
-    stats.ok = true;
-    stats.server.present = true;
-    stats.server.accepted = 10;
-    stats.server.completed = 9;
-    stats.server.shed = 3;
-    stats.server.retries = 2;
-    stats.server.errors = 1;
-    stats.server.timeouts = 1;
-    stats.server.cacheHits = 5;
-    ASSERT_TRUE(decodeResponse(encodeResponse(stats), &got, &err))
+    ASSERT_TRUE(decodeResponse(encodeResponse(statsResponse()), &got,
+                               &err))
         << err;
     EXPECT_TRUE(got.server.present);
     EXPECT_EQ(got.server.accepted, 10u);
@@ -202,6 +239,61 @@ TEST(ServiceProtocol, RejectsMalformedAndUnknownShapes)
         "{\"id\": 1, \"ok\": false, \"error\": {\"kind\": "
         "\"weird\", \"message\": \"m\"}}",
         &resp, &err));
+}
+
+/** Call @p fn on every single-bit flip of @p frame, every overwrite
+ *  of one byte with a JSON structural byte, and every truncation. */
+template <typename Fn>
+void
+forEachMutation(const std::string &frame, Fn fn)
+{
+    for (size_t i = 0; i < frame.size(); ++i) {
+        std::string text = frame;
+        for (int bit = 0; bit < 8; ++bit) {
+            text[i] = char(frame[i] ^ (1 << bit));
+            fn(text);
+        }
+        for (char c : std::string("{}[]\",: 0e-\\")) {
+            text[i] = c;
+            if (c != frame[i])
+                fn(text);
+        }
+        fn(frame.substr(0, i));
+    }
+}
+
+TEST(ServiceProtocol, MutatedFramesAreRefusedOrReencodeToAFixedPoint)
+{
+    std::string err;
+    for (const Request &req : {fullRequest(), bareRequest()}) {
+        forEachMutation(encodeRequest(req), [&](const std::string &f) {
+            Request got;
+            bool ok = false;
+            EXPECT_NO_THROW(ok = decodeRequest(f, &got, &err)) << f;
+            if (!ok)
+                return;
+            std::string once = encodeRequest(got);
+            Request again;
+            ASSERT_TRUE(decodeRequest(once, &again, &err))
+                << f << " -> " << once << ": " << err;
+            EXPECT_EQ(encodeRequest(again), once) << f;
+        });
+    }
+    for (const Response &resp :
+         {okResponse(), errorResponse(), statsResponse()}) {
+        forEachMutation(encodeResponse(resp), [&](const std::string &f) {
+            Response got;
+            bool ok = false;
+            EXPECT_NO_THROW(ok = decodeResponse(f, &got, &err)) << f;
+            if (!ok)
+                return;
+            std::string once = encodeResponse(got);
+            Response again;
+            ASSERT_TRUE(decodeResponse(once, &again, &err))
+                << f << " -> " << once << ": " << err;
+            EXPECT_EQ(encodeResponse(again), once) << f;
+        });
+    }
 }
 
 TEST(ServiceProtocol, ErrorKindNamesRoundTrip)
@@ -552,6 +644,39 @@ TEST_F(ServiceTest, MalformedFrameGetsBadRequestAndConnSurvives)
     ping.id = 5;
     ASSERT_TRUE(c.call(ping, &resp, &err)) << err;
     EXPECT_TRUE(resp.ok);
+}
+
+TEST_F(ServiceTest, IdsUpTo2Pow53AreEchoedVerbatimOthersAreBadRequests)
+{
+    auto srv = startServer();
+    Client c = connectTo(*srv);
+    auto roundTrip = [&](const std::string &id, Response *resp) {
+        std::string err, payload;
+        EXPECT_TRUE(writeFrame(
+            c.fd(), "{\"op\": \"ping\", \"id\": " + id + "}", &err))
+            << err;
+        EXPECT_EQ(readFrame(c.fd(), &payload, &err), FrameStatus::Ok)
+            << err;
+        EXPECT_TRUE(decodeResponse(payload, resp, &err)) << err;
+        return payload;
+    };
+
+    // 2^53 is the largest id a JSON double holds exactly: it comes
+    // back digit for digit.
+    Response resp;
+    std::string payload = roundTrip("9007199254740992", &resp);
+    EXPECT_TRUE(resp.ok);
+    EXPECT_EQ(resp.id, uint64_t(1) << 53);
+    EXPECT_EQ(payload.rfind("{\"id\": 9007199254740992, ", 0), 0u)
+        << payload;
+
+    // Past it a double skips integers: 2^53 + 1 would come back as
+    // 2^53, so it is refused, as is the old 1e18-capped range.
+    for (const char *id : {"9007199254740993", "999999999999999999"}) {
+        roundTrip(id, &resp);
+        EXPECT_FALSE(resp.ok) << id;
+        EXPECT_EQ(resp.kind, ErrorKind::BadRequest) << id;
+    }
 }
 
 TEST_F(ServiceTest, OversizedFrameIsAnsweredThenConnectionCloses)

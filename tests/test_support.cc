@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support layer: checked math, rationals, string
- * helpers, JSON string escaping, diagnostics.
+ * helpers, the JSON reader and writer, diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,10 @@
 #include <atomic>
 
 #include <condition_variable>
+#include <cstring>
+#include <limits>
 #include <mutex>
+#include <random>
 
 #include "support/intmath.hh"
 #include "support/json.hh"
@@ -132,6 +135,144 @@ TEST(JsonEscape, EveryAsciiByteAndUtf8RoundTripThroughParse)
                              "x \xf0\x9f\x99\x82";
     EXPECT_EQ(json::escape(utf8), utf8);
     EXPECT_EQ(roundTrip(utf8), utf8);
+}
+
+/**
+ * A seeded random JSON tree: objects and arrays nested up to
+ * @p depth, strings of bytes 0x01-0x7f and multi-byte UTF-8, integers
+ * up to +-2^53, and doubles drawn from raw bit patterns (subnormal to
+ * huge exponents).
+ */
+json::Value
+randomValue(std::mt19937_64 &rng, int depth)
+{
+    auto pick = [&](uint64_t n) { return rng() % n; };
+    auto text = [&] {
+        static const char *utf8[] = {"\xc3\xa9", "\xe2\x88\x80",
+                                     "\xf0\x9f\x99\x82"};
+        std::string out;
+        for (uint64_t n = pick(8); n > 0; --n)
+            out += pick(4) == 0 ? std::string(utf8[pick(3)])
+                                : std::string(1, char(1 + pick(0x7f)));
+        return out;
+    };
+    switch (pick(depth > 0 ? 7 : 5)) {
+      case 0: return json::Value();
+      case 1: return json::Value(pick(2) == 1);
+      case 2: {
+        const uint64_t span = (uint64_t(1) << 54) + 1;
+        return json::Value(int64_t(pick(span)) - (int64_t(1) << 53));
+      }
+      case 3: {
+        double d = std::numeric_limits<double>::infinity();
+        while (!std::isfinite(d)) {
+            uint64_t bits = rng();
+            std::memcpy(&d, &bits, sizeof(d));
+        }
+        return json::Value(d);
+      }
+      case 4: return json::Value(text());
+      case 5: {
+        json::Value a(json::Value::Kind::Array);
+        for (uint64_t n = pick(5); n > 0; --n)
+            a.push(randomValue(rng, depth - 1));
+        return a;
+      }
+      default: {
+        json::Value o(json::Value::Kind::Object);
+        for (uint64_t n = pick(5); n > 0; --n)
+            o.set(text(), randomValue(rng, depth - 1));
+        return o;
+      }
+    }
+}
+
+TEST(JsonWriter, ParseOfDumpIsTheIdentityOnSeededTrees)
+{
+    std::mt19937_64 rng(20261018);
+    for (int i = 0; i < 3000; ++i) {
+        json::Value v = randomValue(rng, 4);
+        std::string text = json::dump(v);
+        json::Value back;
+        std::string err;
+        ASSERT_TRUE(json::parse(text, &back, &err)) << err << "\n"
+                                                    << text;
+        ASSERT_TRUE(back == v) << text;
+        EXPECT_EQ(json::dump(back), text);
+    }
+}
+
+TEST(JsonWriter, PinsTheOneSpelling)
+{
+    json::Value b(json::Value::Kind::Array);
+    b.push(true).push("x");
+    json::Value v;
+    v.set("a", 1).set("b", std::move(b));
+    EXPECT_EQ(json::dump(v), "{\"a\": 1, \"b\": [true, \"x\"]}");
+    // set() replaces a member in place; empty containers stay typed.
+    v.set("a", 0.5).set("c", json::Value(json::Value::Kind::Object));
+    EXPECT_EQ(json::dump(v),
+              "{\"a\": 0.5, \"b\": [true, \"x\"], \"c\": {}}");
+    EXPECT_EQ(json::dump(json::Value(std::vector<int64_t>{})), "[]");
+}
+
+TEST(JsonWriter, NonFiniteNumbersAreWrittenAsNull)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    json::Value v;
+    v.set("nan", std::numeric_limits<double>::quiet_NaN());
+    v.set("inf", inf);
+    v.set("-inf", -inf);
+    EXPECT_EQ(json::dump(v),
+              "{\"nan\": null, \"inf\": null, \"-inf\": null}");
+}
+
+TEST(JsonWriter, NumbersAreWrittenExactly)
+{
+    const double max_exact = 9007199254740992.0; // 2^53
+    EXPECT_EQ(json::dump(100000000), "100000000");
+    EXPECT_EQ(json::dump(-max_exact), "-9007199254740992");
+    EXPECT_EQ(json::dump(0.1), "0.1");
+    EXPECT_EQ(json::dump(1.0 / 3), "0.3333333333333333");
+    // Integral values past 2^53 go out in exponent form, which the
+    // reader accepts (it refuses such integer literals).
+    EXPECT_EQ(json::dump(max_exact + 2), "9.007199254740994e+15");
+    for (double d : {max_exact + 2, 1e300, 5e-324, -2.5e-308}) {
+        json::Value back;
+        ASSERT_TRUE(json::parse(json::dump(d), &back)) << d;
+        EXPECT_EQ(back.number, d);
+    }
+}
+
+TEST(JsonReader, RefusesNumbersADoubleCannotHold)
+{
+    json::Value v;
+    EXPECT_TRUE(json::parse("9007199254740992", &v));
+    EXPECT_EQ(v.number, 9007199254740992.0);
+    EXPECT_TRUE(json::parse("-9007199254740992", &v));
+    std::string err;
+    for (const char *text : {"9007199254740993", "-9007199254740993",
+                             "999999999999999999999999", "1e999"}) {
+        EXPECT_FALSE(json::parse(text, &v, &err)) << text;
+        EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    }
+}
+
+TEST(JsonReader, ParseAtReadsOneValueAndLeavesTheRest)
+{
+    const std::string text = "xx {\"a\": [1, 2]}, {\"b\": tru}";
+    size_t pos = 2;
+    json::Value v;
+    ASSERT_TRUE(json::parseAt(text, &pos, &v));
+    EXPECT_EQ(json::dump(v), "{\"a\": [1, 2]}");
+    EXPECT_EQ(text.substr(pos), ", {\"b\": tru}");
+    size_t bad = pos + 1;
+    std::string err;
+    EXPECT_FALSE(json::parseAt(text, &bad, &v, &err));
+    EXPECT_EQ(bad, pos + 1); // unmoved on failure
+    EXPECT_NE(err.find("expected 'true'"), std::string::npos) << err;
+    EXPECT_FALSE(json::parse(text.substr(2), &v, &err));
+    EXPECT_NE(err.find("trailing garbage"), std::string::npos) << err;
 }
 
 TEST(Logging, FatalAndPanicThrowDistinctTypes)
