@@ -23,11 +23,11 @@
 #                                  check_asan ctest; never invokes
 #                                  ctest itself)
 #   scripts/check.sh --ubsan-only  only the -fsanitize=undefined build
-#                                  of the exec-layer tests (the SIMD
-#                                  lane loops live there), then run
-#                                  them directly (wired as the
-#                                  check_ubsan ctest; never invokes
-#                                  ctest itself)
+#                                  of the exec-layer tests (every
+#                                  untraced bytecode run takes the
+#                                  lane blocks), then run them
+#                                  directly (wired as the check_ubsan
+#                                  ctest; never invokes ctest itself)
 #
 # All modes use their own build directories and leave ./build alone.
 # Performance is measured by the repository benchmark,
@@ -70,10 +70,10 @@ ubsan_supported() { sanitizer_supported -fsanitize=undefined; }
 # in the tile-graph parallel executor (the *Parallel* subset of
 # test_exec exercises the static and ready-queue paths at 2 and 8
 # threads) -- in the backend registry's parallel paths (Backend*
-# covers the bytecode-par/graph backends at 2 and 4 threads, the
-# parallel-native ladder, and the simd-under-par differential; the
-# registry-wide BackendSweep stays out, its pipeline compiles would
-# blow the gate's budget under TSAN) -- and in the sharded
+# covers the bytecode-par/graph backends at 2 and 4 threads, whose
+# workers all run the lane blocks, and the parallel-native ladder;
+# the registry-wide BackendSweep stays out, its pipeline compiles
+# would blow the gate's budget under TSAN) -- and in the sharded
 # KernelCache (the KernelCache subset of test_artifact hammers
 # compile/lookup from 8 threads) -- and in the compile service's
 # accept/reader/worker/drain machinery (the whole of test_service
@@ -133,13 +133,14 @@ asan_build_and_run() {
     echo "== ASAN run OK =="
 }
 
-# Build the exec-layer tests under UBSan and run them directly. The
-# SIMD block path steps raw element pointers through lane loops and
-# strength-reduces access offsets; misaligned or out-of-range
-# arithmetic there shows up here as a hard failure. The registry-wide
-# BackendSweep is excluded: its per-workload native pipeline compiles
-# add minutes without adding UB surface (the same lane loops run via
-# the Backend* and differential tests that do stay in).
+# Build the exec-layer tests under UBSan and run them directly. Every
+# untraced bytecode run takes the lane blocks, which step raw element
+# pointers through lane loops over strength-reduced access offsets;
+# misaligned or out-of-range arithmetic there shows up here as a hard
+# failure. The registry-wide BackendSweep is excluded: its
+# per-workload native pipeline compiles add minutes without adding UB
+# surface (the same lane loops run via the Backend* and differential
+# tests that do stay in).
 ubsan_build_and_run() {
     echo "== configure + build with -fsanitize=undefined =="
     cmake -B "$src/build-ubsan" -S "$src" -DPOLYFUSE_UBSAN=ON

@@ -53,8 +53,8 @@ namespace driver {
  * the resolved team size and the probed parallel toolchain mode
  * are mixed (the tile-team shape is baked into the native TU), so
  * a warm cache hit can never serve a kernel compiled for a
- * different backend. Runtime-only flags such as the SIMD mode are
- * no input: they change no emitted code.
+ * different backend. The bytecode VM's parallel strategy is no
+ * input: it changes no emitted code.
  */
 pres::Fingerprint
 programFingerprint(const ir::Program &program,

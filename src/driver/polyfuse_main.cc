@@ -97,10 +97,6 @@ usage(FILE *to)
         "                        with --exec native, compiles a\n"
         "                        tile-team over coincident bands;\n"
         "                        implies --run)\n"
-        "  --simd on|off         vectorized bytecode fast path for\n"
-        "                        unit-stride inner loops (selected\n"
-        "                        per loop, bit-identical to scalar;\n"
-        "                        implies --run)\n"
         "  --cache               consult/populate the process-wide\n"
         "                        kernel cache (fingerprint-keyed;\n"
         "                        repeat compiles of the same program\n"
@@ -266,7 +262,6 @@ main(int argc, char **argv)
     exec::Tier tier = exec::Tier::Bytecode;
     unsigned run_threads = 1;
     exec::ParStrategy par = exec::ParStrategy::Off;
-    exec::SimdMode simd = exec::SimdMode::Off;
     bool use_cache = false;
     uint64_t cache_bytes = 0;
     unsigned repeatN = 1;
@@ -412,15 +407,6 @@ main(int argc, char **argv)
             if (!exec::parseParStrategy(name, &par)) {
                 std::fprintf(stderr,
                              "polyfuse: unknown --par '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-            do_run = true;
-        } else if (arg == "--simd") {
-            std::string name = value(i);
-            if (!exec::parseSimdMode(name, &simd)) {
-                std::fprintf(stderr,
-                             "polyfuse: unknown --simd '%s'\n",
                              name.c_str());
                 return 2;
             }
@@ -618,7 +604,6 @@ main(int argc, char **argv)
             req.deadlineMs = deadline_ms;
             req.threads = run_threads;
             req.par = exec::parStrategyName(par);
-            req.simd = exec::simdModeName(simd);
         }
         service::Response resp;
         if (!client.call(req, &resp, &err)) {
@@ -827,7 +812,6 @@ main(int argc, char **argv)
             eopts.tier = tier;
             eopts.threads = run_threads;
             eopts.par = par;
-            eopts.simd = simd;
             try {
                 result =
                     driver::executeKernel(artifact, buffers, eopts);
@@ -848,11 +832,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "polyfuse: parallel run degraded: %s\n",
                              result.parFallbackReason.c_str());
-            if (simd == exec::SimdMode::On &&
-                !result.simdFallbackReason.empty())
-                std::fprintf(stderr,
-                             "polyfuse: simd run degraded: %s\n",
-                             result.simdFallbackReason.c_str());
         }
     }
 
@@ -906,11 +885,9 @@ main(int argc, char **argv)
             par.set("criticalPath", p.criticalPath);
             par.set("fallbackReason", result.parFallbackReason);
             json::Value sv;
-            sv.set("mode", exec::simdModeName(result.simd));
             sv.set("width", exec::simdWidth());
             sv.set("loops", result.stats.simdLoops);
             sv.set("lanes", result.stats.simdLanes);
-            sv.set("fallbackReason", result.simdFallbackReason);
             json::Value run;
             run.set("requestedTier", exec::tierName(tier));
             run.set("tier", exec::tierName(result.tier));
@@ -950,7 +927,7 @@ main(int argc, char **argv)
                 (unsigned long long)result.par.tilesExecuted,
                 (unsigned long long)result.par.waits,
                 (unsigned long long)result.par.criticalPath);
-        if (result.simd == exec::SimdMode::On)
+        if (result.stats.simdLoops > 0)
             std::printf(", simd x%u (%llu loops, %llu lanes)",
                         exec::simdWidth(),
                         (unsigned long long)result.stats.simdLoops,

@@ -168,7 +168,7 @@ struct StmtC
     int32_t writeStepSlot = -1;
     /** Statically eligible for the vectorized fast path: every load
      *  is affine (no LoadIdx, whose indirection defeats the
-     *  base+step form). The per-run dependence check happens at
+     *  base+step form). The per-loop dependence check happens at
      *  selection time (Machine::simdSafe). */
     bool simdOk = false;
 };
@@ -760,8 +760,7 @@ struct State
      *  scope and grown to the largest box seen. */
     std::vector<std::vector<double>> scratch;
     std::vector<double> stack;
-    /** Vectorized fast path: kSimdWidth lanes per stack slot (empty
-     *  unless the machine runs with SIMD enabled). */
+    /** Lane-block fast path: kSimdWidth lanes per stack slot. */
     std::vector<double> vecStack;
     /** Inner-loop fast path: offsets/guard values at the loop start
      *  plus per-iteration steps, aligned with Image::xinsts (loads),
@@ -785,8 +784,8 @@ struct State
 class Machine
 {
   public:
-    Machine(const Image &img, Buffers &buffers, bool simd = false)
-        : img_(img), buffers_(buffers), simd_(simd)
+    Machine(const Image &img, Buffers &buffers)
+        : img_(img), buffers_(buffers)
     {
         st_.vars.assign(img.numVars, 0);
         st_.loopHi.assign(img.loops.size(), 0);
@@ -797,11 +796,9 @@ class Machine
         st_.storage.resize(img.numTensors);
         st_.scratch.resize(img.promos.size());
         st_.stack.assign(std::max(img.maxStack, 1), 0.0);
-        if (simd_)
-            st_.vecStack.assign(
-                size_t(std::max(img.maxStack, 1)) *
-                    size_t(kSimdWidth),
-                0.0);
+        st_.vecStack.assign(size_t(std::max(img.maxStack, 1)) *
+                                size_t(kSimdWidth),
+                            0.0);
         st_.innerOff.assign(img.xinsts.size(), 0);
         st_.innerStep.assign(img.xinsts.size(), 0);
         st_.writeOff.assign(img.stmts.size(), 0);
@@ -836,9 +833,31 @@ class Machine
             st_.sink = sink;
             st_.traceBuf.resize(kTraceBatch);
         }
+        runRange<Traced>(0, int32_t(img_.insts.size()) - 1);
+        if (Traced)
+            flushTrace();
+        st_.stats.seconds = timer.seconds();
+        return st_.stats;
+    }
+
+    /**
+     * The one dispatch loop: execute the well-nested tape span
+     * [pc, end_pc). run() passes the whole tape up to Halt; a
+     * parallel run passes its sequential glue (spans between tile
+     * regions, regions kept sequential) and the body slice of one
+     * tile. Returns with the machine's storage stacks and fold state
+     * exactly as on entry (Alloc scopes inside the span are
+     * balanced). Untraced, innermost loops and perfect two-level
+     * nests take the runInner/runNest fast paths; traced, every
+     * statement goes through execStmt so the record stream stays
+     * per-access and ordered.
+     */
+    template <bool Traced>
+    void
+    runRange(int32_t pc, int32_t end_pc)
+    {
         const Inst *insts = img_.insts.data();
-        int32_t pc = 0;
-        for (;;) {
+        while (pc != end_pc) {
             const Inst &in = insts[pc];
             switch (in.op) {
               case Op::ForBegin: {
@@ -890,78 +909,6 @@ class Machine
                 ++pc;
                 break;
               case Op::Halt:
-                if (Traced)
-                    flushTrace();
-                st_.stats.seconds = timer.seconds();
-                return st_.stats;
-            }
-        }
-    }
-
-    /**
-     * Untraced execution of the well-nested tape span
-     * [pc, end_pc): the sequential glue of a parallel run (spans
-     * between tile regions, regions kept sequential) and the body
-     * slice of one tile. Returns with the machine's storage stacks
-     * and fold state exactly as on entry (Alloc scopes inside the
-     * span are balanced).
-     */
-    void
-    runRange(int32_t pc, int32_t end_pc)
-    {
-        const Inst *insts = img_.insts.data();
-        while (pc != end_pc) {
-            const Inst &in = insts[pc];
-            switch (in.op) {
-              case Op::ForBegin: {
-                const Loop &loop = img_.loops[in.arg];
-                int64_t lo = evalBound(loop.lb, true);
-                int64_t hi = evalBound(loop.ub, false);
-                if (lo > hi) {
-                    pc = in.jump;
-                    break;
-                }
-                if (loop.nestInner >= 0) {
-                    runNest(loop, lo, hi);
-                    pc = in.jump;
-                    break;
-                }
-                if (loop.stmtBegin >= 0) {
-                    runInner(loop, lo, hi);
-                    pc = in.jump;
-                    break;
-                }
-                st_.vars[loop.var] = lo;
-                st_.loopHi[in.arg] = hi;
-                if (loop.parallel)
-                    ++st_.parallelDepth;
-                ++pc;
-                break;
-              }
-              case Op::ForEnd: {
-                const Loop &loop = img_.loops[in.arg];
-                if (++st_.vars[loop.var] <= st_.loopHi[in.arg]) {
-                    pc = in.jump;
-                    break;
-                }
-                if (loop.parallel)
-                    --st_.parallelDepth;
-                ++pc;
-                break;
-              }
-              case Op::Stmt:
-                execStmt<false>(img_.stmts[in.arg]);
-                ++pc;
-                break;
-              case Op::AllocEnter:
-                enterAlloc(img_.allocs[in.arg]);
-                ++pc;
-                break;
-              case Op::AllocExit:
-                exitAlloc(img_.allocs[in.arg]);
-                ++pc;
-                break;
-              case Op::Halt:
                 return;
             }
         }
@@ -980,7 +927,7 @@ class Machine
             st_.vars[img_.loops[r.loops[k]].var] = coords[k];
         int saved = st_.parallelDepth;
         st_.parallelDepth = saved + r.coincidentLevels;
-        runRange(r.bodyBegin, r.bodyEnd);
+        runRange<false>(r.bodyBegin, r.bodyEnd);
         st_.parallelDepth = saved;
     }
 
@@ -1354,9 +1301,7 @@ class Machine
             // Single statement: its pass interval IS the loop.
             const StmtC &sc = img_.stmts[loop.stmtBegin];
             int64_t d = d_start;
-            if (simd_)
-            if (simd_ && sc.simdOk &&
-                d_end - d + 1 >= kSimdWidth &&
+            if (sc.simdOk && d_end - d + 1 >= kSimdWidth &&
                 simdSafe(loop.stmtBegin, sc)) {
                 ++st_.stats.simdLoops;
                 for (; d + kSimdWidth - 1 <= d_end;
@@ -1366,7 +1311,7 @@ class Machine
                     st_.stats.simdLanes += uint64_t(kSimdWidth);
                 }
             }
-            // Scalar remainder (the whole loop when not selected).
+            // Scalar tail (the whole loop when blocks are unsafe).
             for (; d <= d_end; ++d) {
                 st_.vars[loop.var] = lo + d;
                 execFastStmt(loop.stmtBegin, sc, d);
@@ -1710,8 +1655,6 @@ class Machine
     const Image &img_;
     Buffers &buffers_;
     State st_;
-    /** Vectorized inner-loop fast path enabled for this run. */
-    bool simd_ = false;
 };
 
 } // namespace bytecode_detail
@@ -1737,25 +1680,6 @@ addStats(ExecStats &a, const ExecStats &b)
     a.guardFails += b.guardFails;
     a.simdLoops += b.simdLoops;
     a.simdLanes += b.simdLanes;
-}
-
-/** One SIMD admission per run: the exec.simd.select failpoint lets
- *  the robustness suite fail the selection deterministically; any
- *  failure degrades the whole run to scalar with the reason
- *  recorded (the buffers are untouched at this point). */
-bool
-admitSimd(SimdMode simd, std::string *fallback_reason)
-{
-    if (simd != SimdMode::On)
-        return false;
-    try {
-        failpoints::hit("exec.simd.select");
-    } catch (const std::exception &e) {
-        if (fallback_reason)
-            *fallback_reason = e.what();
-        return false;
-    }
-    return true;
 }
 
 /** How one tile region is executed in a parallel run. */
@@ -1799,12 +1723,11 @@ simdWidth()
 }
 
 ExecStats
-BytecodeKernel::run(Buffers &buffers, SimdMode simd,
-                    std::string *simd_fallback) const
+BytecodeKernel::run(Buffers &buffers) const
 {
     if (!image_)
         fatal("bytecode: run() on an empty kernel");
-    Machine m(*image_, buffers, admitSimd(simd, simd_fallback));
+    Machine m(*image_, buffers);
     return m.run<false>(nullptr);
 }
 
@@ -1822,9 +1745,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
                             ParStrategy strategy,
                             const std::vector<deps::TileBandGraph> *bands,
                             ParRunStats &par,
-                            std::string &fallback_reason,
-                            SimdMode simd,
-                            std::string *simd_fallback) const
+                            std::string &fallback_reason) const
 {
     if (!image_)
         fatal("bytecode: runParallel() on an empty kernel");
@@ -1833,9 +1754,8 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
     par = ParRunStats{};
     if (threads == 0)
         threads = ThreadPool::defaultThreads();
-    const bool vec = admitSimd(simd, simd_fallback);
 
-    Machine main(img, buffers, vec);
+    Machine main(img, buffers);
 
     // ---- Planning: classification, tile enumeration, DAG build,
     // worker spawn. Strictly read-only on buffers, so any failure
@@ -1966,11 +1886,11 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
         const TileRegion &r = img.tileRegions[ri];
         RegionPlan &p = plans[ri];
         size_t L = r.loops.size();
-        main.runRange(cursor, r.beginPc);
+        main.runRange<false>(cursor, r.beginPc);
         cursor = r.endPc;
         if (p.mode == RegionMode::Sequential) {
             ++par.regionsSequential;
-            main.runRange(r.beginPc, r.endPc);
+            main.runRange<false>(r.beginPc, r.endPc);
             continue;
         }
         ++par.regionsParallel;
@@ -1981,7 +1901,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
         if (p.mode == RegionMode::Static) {
             pool->parallelFor(
                 0, p.n, 0, [&](int64_t b, int64_t e) {
-                    Machine m(img, buffers, vec);
+                    Machine m(img, buffers);
                     for (int64_t i = b; i < e; ++i)
                         m.runTile(r, &p.tiles[size_t(i) * L]);
                     std::lock_guard<std::mutex> lock(mu);
@@ -2016,7 +1936,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
                 std::min<int64_t>(pool->size(), n));
             for (unsigned w = 0; w < nw; ++w)
                 pool->submit([&, L] {
-                    Machine m(img, buffers, vec);
+                    Machine m(img, buffers);
                     uint64_t my_waits = 0;
                     for (;;) {
                         if (done.load(std::memory_order_acquire) >=
@@ -2107,7 +2027,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
         }
     }
     // Trailing sequential span up to (not including) Halt.
-    main.runRange(cursor, int32_t(img.insts.size()) - 1);
+    main.runRange<false>(cursor, int32_t(img.insts.size()) - 1);
 
     addStats(main.stats(), total);
     main.stats().seconds = timer.seconds();

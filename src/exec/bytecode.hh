@@ -70,19 +70,17 @@ class BytecodeKernel
     bool ok() const { return image_ != nullptr; }
 
     /**
-     * Execute without tracing (the fast path). With
-     * SimdMode::On, single-statement inner loops whose per-run
-     * dependence check passes execute in compiler-vectorizable
-     * lane blocks with a scalar tail -- still bit-identical to
-     * scalar execution (each lane applies the exact scalar op
-     * sequence; no reassociation). A failed SIMD admission (the
-     * exec.simd.select failpoint) degrades the run to scalar and
-     * records why in @p simd_fallback.
+     * Execute without tracing (the fast path). Single-statement
+     * inner loops whose per-loop dependence check passes execute in
+     * compiler-vectorizable lane blocks of simdWidth() with a scalar
+     * tail -- still bit-identical to scalar execution (each lane
+     * applies the exact scalar op sequence; no reassociation).
+     * ExecStats::simdLoops/simdLanes count the blocks that ran.
      */
-    ExecStats run(Buffers &buffers, SimdMode simd = SimdMode::Off,
-                  std::string *simd_fallback = nullptr) const;
+    ExecStats run(Buffers &buffers) const;
 
-    /** Execute, streaming batched trace records into @p sink. */
+    /** Execute, streaming batched trace records into @p sink.
+     *  Traced runs stay scalar: records are per-access and ordered. */
     ExecStats run(Buffers &buffers, TraceSink &sink) const;
 
     /**
@@ -104,9 +102,7 @@ class BytecodeKernel
                           ParStrategy strategy,
                           const std::vector<deps::TileBandGraph> *bands,
                           ParRunStats &par,
-                          std::string &fallback_reason,
-                          SimdMode simd = SimdMode::Off,
-                          std::string *simd_fallback = nullptr) const;
+                          std::string &fallback_reason) const;
 
     /** Parallel-schedulable top-level tile regions of the tape. */
     size_t numTileRegions() const;

@@ -60,28 +60,6 @@ parseParStrategy(const std::string &text, ParStrategy *out)
     return true;
 }
 
-const char *
-simdModeName(SimdMode mode)
-{
-    switch (mode) {
-      case SimdMode::Off: return "off";
-      case SimdMode::On: return "on";
-    }
-    return "?";
-}
-
-bool
-parseSimdMode(const std::string &text, SimdMode *out)
-{
-    if (text == "off")
-        *out = SimdMode::Off;
-    else if (text == "on")
-        *out = SimdMode::On;
-    else
-        return false;
-    return true;
-}
-
 ExecResult
 execute(const ir::Program &program, const codegen::AstPtr &ast,
         Buffers &buffers, const ExecOptions &options)
@@ -99,9 +77,6 @@ execute(const ir::Program &program, const codegen::AstPtr &ast,
 
     ExecResult result;
     result.tier = Tier::Interp;
-    if (options.simd == SimdMode::On)
-        result.simdFallbackReason =
-            "simd fast path needs the bytecode tier";
     if (!options.sink) {
         result.stats = run(program, ast, buffers);
         return result;
@@ -119,37 +94,16 @@ execute(const ir::Program &program, const codegen::AstPtr &ast,
 const std::vector<BackendSpec> &
 backendRegistry()
 {
-    // Every entry promises bit-identity: the native emitter pins
-    // `-ffp-contract=off` and the guarded scalar forms, parallel
-    // tiles write disjoint footprints in program order, and the
-    // vector path applies the exact scalar op sequence per lane.
-    // A future backend that reassociates (e.g. vectorized
-    // reductions) registers with bitIdentical = false and a
-    // maxAbsResidual bound instead; the sweep then checks the bound
-    // and reports the measured deviation.
     static const std::vector<BackendSpec> registry = {
-        {"interp", Tier::Interp, ParStrategy::Off, 1,
-         SimdMode::Off, true, 0.0},
-        {"bytecode", Tier::Bytecode, ParStrategy::Off, 1,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-simd", Tier::Bytecode, ParStrategy::Off, 1,
-         SimdMode::On, true, 0.0},
-        {"bytecode-par2", Tier::Bytecode, ParStrategy::Static, 2,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-par4", Tier::Bytecode, ParStrategy::Static, 4,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-graph2", Tier::Bytecode, ParStrategy::Graph, 2,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-graph4", Tier::Bytecode, ParStrategy::Graph, 4,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-par4-simd", Tier::Bytecode, ParStrategy::Static,
-         4, SimdMode::On, true, 0.0},
-        {"native", Tier::Native, ParStrategy::Off, 1, SimdMode::Off,
-         true, 0.0},
-        {"native-par2", Tier::Native, ParStrategy::Static, 2,
-         SimdMode::Off, true, 0.0},
-        {"native-par4", Tier::Native, ParStrategy::Static, 4,
-         SimdMode::Off, true, 0.0},
+        {"interp", Tier::Interp, ParStrategy::Off, 1},
+        {"bytecode", Tier::Bytecode, ParStrategy::Off, 1},
+        {"bytecode-par2", Tier::Bytecode, ParStrategy::Static, 2},
+        {"bytecode-par4", Tier::Bytecode, ParStrategy::Static, 4},
+        {"bytecode-graph2", Tier::Bytecode, ParStrategy::Graph, 2},
+        {"bytecode-graph4", Tier::Bytecode, ParStrategy::Graph, 4},
+        {"native", Tier::Native, ParStrategy::Off, 1},
+        {"native-par2", Tier::Native, ParStrategy::Static, 2},
+        {"native-par4", Tier::Native, ParStrategy::Static, 4},
     };
     return registry;
 }
@@ -170,7 +124,6 @@ backendOptions(const BackendSpec &spec)
     options.tier = spec.tier;
     options.par = spec.par;
     options.threads = spec.threads;
-    options.simd = spec.simd;
     return options;
 }
 

@@ -75,30 +75,11 @@ const char *parStrategyName(ParStrategy strategy);
  *  anything else. */
 bool parseParStrategy(const std::string &text, ParStrategy *out);
 
-/**
- * Whether the bytecode tier may take its vectorized fast path over
- * unit-stride interval-solved inner loops (see exec/bytecode.hh).
- * Off is the default; On enables per-loop selection with a scalar
- * tail. The vector path executes lanes block-wise with the exact
- * scalar operation sequence per lane -- no reassociation -- so it
- * stays bit-identical to scalar execution.
- */
-enum class SimdMode
-{
-    Off,
-    On,
-};
-
-/** Stable lower-case name ("off" | "on"). */
-const char *simdModeName(SimdMode mode);
-
-/** Parse a simdModeName() spelling; false (and *out untouched) on
- *  anything else. */
-bool parseSimdMode(const std::string &text, SimdMode *out);
-
-/** Lane width the vectorized bytecode path executes per block (a
- *  compile-time probe of the host ISA: 8 with AVX2/AVX-512, 4
- *  otherwise). */
+/** Lane width of the bytecode VM's vector blocks (a compile-time
+ *  probe of the host ISA: 8 with AVX2/AVX-512, 4 otherwise). Every
+ *  untraced bytecode run takes the blocks wherever a loop admits
+ *  them (see exec/bytecode.hh); ExecStats::simdLoops/simdLanes
+ *  count them. */
 unsigned simdWidth();
 
 /** Counters of one parallel run (all zero on sequential runs). */
@@ -132,8 +113,6 @@ struct ExecOptions
      *  coincident flags alone do not prove tile independence once
      *  post-tiling fusion introduces extension statements). */
     const std::vector<deps::TileBandGraph> *tileBands = nullptr;
-    /** Vectorized bytecode fast path (bytecode tier only). */
-    SimdMode simd = SimdMode::Off;
 };
 
 /** What execute() did. */
@@ -148,11 +127,6 @@ struct ExecResult
     /** Why a requested parallel strategy degraded to sequential
      *  ("" when it ran as requested). */
     std::string parFallbackReason;
-    /** The SIMD mode that was actually enabled for the run. */
-    SimdMode simd = SimdMode::Off;
-    /** Why a requested SimdMode::On degraded to scalar ("" when it
-     *  ran as requested; per-loop selection still applies). */
-    std::string simdFallbackReason;
 };
 
 /**
@@ -168,23 +142,20 @@ ExecResult execute(const ir::Program &program,
                    const ExecOptions &options = {});
 
 /**
- * One named point in the backend space (tier x par x simd) together
- * with its numerical contract. Every registered backend promises
- * either bit-identical buffers against the Tier-0 interpreter
- * (bitIdentical == true; the emitters use `-ffp-contract=off` and
- * the vector path never reassociates) or a bounded L-infinity
- * residual (maxAbsResidual). The differential tests (BackendSweep
- * in tests/test_exec.cc) enforce the contract per workload.
+ * One named point in the backend space (tier x parallel strategy).
+ * Every registered backend promises buffers bit-identical to the
+ * Tier-0 interpreter: the native emitter pins `-ffp-contract=off`,
+ * parallel tiles write disjoint footprints in program order, and the
+ * bytecode lane blocks apply the exact scalar op sequence per lane.
+ * The differential tests (BackendSweep in tests/test_exec.cc)
+ * enforce the contract per workload.
  */
 struct BackendSpec
 {
-    const char *name;  ///< stable id, e.g. "bytecode-par4-simd"
+    const char *name;  ///< stable id, e.g. "bytecode-par4"
     Tier tier;
     ParStrategy par;
     unsigned threads;  ///< worker threads when par != Off
-    SimdMode simd;
-    bool bitIdentical;     ///< contract: exact buffer equality
-    double maxAbsResidual; ///< contract bound when !bitIdentical
 };
 
 /** Every backend the engine can run, in reporting order. The list

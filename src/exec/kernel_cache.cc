@@ -148,10 +148,6 @@ execute(const KernelImage &image, Buffers &buffers,
             kernel = image.ensureNative(&reason);
         }
         if (kernel) {
-            if (options.simd == SimdMode::On)
-                result.simdFallbackReason = "native tier relies on "
-                                            "compiler "
-                                            "auto-vectorization";
             result.stats = kernel->run(buffers);
             result.tier = Tier::Native;
             return result;
@@ -171,26 +167,14 @@ execute(const KernelImage &image, Buffers &buffers,
                 "tracing requires sequential execution";
             want_par = false;
         }
-        SimdMode simd = options.simd;
-        if (simd == SimdMode::On && tracing) {
-            result.simdFallbackReason =
-                "tracing requires scalar execution";
-            simd = SimdMode::Off;
-        }
-        if (want_par) {
+        if (want_par)
             result.stats = image.bytecode.runParallel(
                 buffers, options.threads, options.par, bands,
-                result.par, result.parFallbackReason, simd,
-                &result.simdFallbackReason);
-        } else if (tracing) {
+                result.par, result.parFallbackReason);
+        else if (tracing)
             result.stats = image.bytecode.run(buffers, *options.sink);
-        } else {
-            result.stats = image.bytecode.run(buffers, simd,
-                                              &result.simdFallbackReason);
-        }
-        if (options.simd == SimdMode::On &&
-            result.simdFallbackReason.empty())
-            result.simd = SimdMode::On;
+        else
+            result.stats = image.bytecode.run(buffers);
         result.tier = Tier::Bytecode;
         return result;
     }

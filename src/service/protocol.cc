@@ -226,7 +226,6 @@ encodeRequest(const Request &req)
         out.set("deadlineMs", req.deadlineMs);
     out.set("threads", req.threads);
     out.set("par", req.par);
-    out.set("simd", req.simd);
     return json::dump(out);
 }
 
@@ -298,10 +297,6 @@ decodeRequest(const std::string &payload, Request *out,
             if (!v.isString())
                 return fail(error, "par must be a string");
             req.par = v.string;
-        } else if (key == "simd") {
-            if (!v.isString())
-                return fail(error, "simd must be a string");
-            req.simd = v.string;
         } else {
             return fail(error, "unknown request field '" + key +
                                    "'");

@@ -16,8 +16,7 @@
  *   {"op": "compile"|"ping"|"stats"|"shutdown", "id": N,
  *    "workload": "...", "rows": N, "cols": N, "strategy": "...",
  *    "tiles": [..], "innerTiles": [..], "tier": "...",
- *    "run": true, "deadlineMs": N, "threads": N, "par": "...",
- *    "simd": "..."}
+ *    "run": true, "deadlineMs": N, "threads": N, "par": "..."}
  *
  * Responses either carry a "result" object (fingerprint, effective
  * tier/strategy, fallback trail, cache hit, retry count, queue wait,
@@ -86,7 +85,6 @@ struct Request
     double deadlineMs = 0; ///< whole-request deadline; 0 = none
     unsigned threads = 1;  ///< worker threads for the run
     std::string par = "off"; ///< off | static | graph
-    std::string simd = "off"; ///< off | on (bytecode vector path)
 };
 
 /** The typed error taxonomy of the service. */
@@ -149,7 +147,7 @@ struct Response
     double queueMs = 0;  ///< admission-to-start wait
     unsigned retries = 0; ///< native-tier retries this request
     std::string bufferHash; ///< 16-hex FNV of every output buffer
-    std::string backend; ///< effective "tier[+par[xN]][+simd]" label
+    std::string backend; ///< effective "tier[+par[xN]]" label
 
     ServerStats server; ///< filled for the "stats" op
 };

@@ -399,12 +399,6 @@ Server::handleCompile(const Request &req,
                      "unknown par strategy '" + req.par + "'");
             return;
         }
-        exec::SimdMode simd;
-        if (!exec::parseSimdMode(req.simd, &simd)) {
-            failWith(ErrorKind::BadRequest,
-                     "unknown simd mode '" + req.simd + "'");
-            return;
-        }
 
         driver::WorkloadParams params = spec->defaults;
         if (req.rows > 0)
@@ -494,7 +488,6 @@ Server::handleCompile(const Request &req,
             eopts.tier = run_tier;
             eopts.threads = req.threads ? req.threads : 1;
             eopts.par = par;
-            eopts.simd = simd;
             exec::ExecResult result =
                 driver::executeKernel(artifact, buffers, eopts);
             resp.tier = exec::tierName(result.tier);
@@ -504,7 +497,7 @@ Server::handleCompile(const Request &req,
             resp.runMs = result.stats.seconds * 1e3;
             resp.bufferHash = hashBuffers(buffers);
             // The backend that *actually* ran, degradations
-            // applied: "tier[+<par>xN][+simd]".
+            // applied: "tier[+<par>xN]".
             resp.backend = exec::tierName(result.tier);
             if (result.par.threads > 0) {
                 resp.backend += std::string("+") +
@@ -513,8 +506,6 @@ Server::handleCompile(const Request &req,
                 resp.backend +=
                     "x" + std::to_string(result.par.threads);
             }
-            if (result.simd == exec::SimdMode::On)
-                resp.backend += "+simd";
         } else {
             resp.tier = exec::tierName(run_tier);
             resp.backend = exec::tierName(run_tier);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace polyfuse {
 namespace json {
@@ -60,11 +61,38 @@ struct Parser
         } else if (cp < 0x800) {
             out->push_back(char(0xc0 | (cp >> 6)));
             out->push_back(char(0x80 | (cp & 0x3f)));
-        } else {
+        } else if (cp < 0x10000) {
             out->push_back(char(0xe0 | (cp >> 12)));
             out->push_back(char(0x80 | ((cp >> 6) & 0x3f)));
             out->push_back(char(0x80 | (cp & 0x3f)));
+        } else {
+            out->push_back(char(0xf0 | (cp >> 18)));
+            out->push_back(char(0x80 | ((cp >> 12) & 0x3f)));
+            out->push_back(char(0x80 | ((cp >> 6) & 0x3f)));
+            out->push_back(char(0x80 | (cp & 0x3f)));
         }
+    }
+
+    /** The four hex digits of a \u escape, as a UTF-16 code unit. */
+    bool
+    hex4(uint32_t *unit)
+    {
+        if (pos + 4 > s.size())
+            return fail("truncated \\u escape");
+        *unit = 0;
+        for (int i = 0; i < 4; ++i) {
+            char h = s[pos++];
+            *unit <<= 4;
+            if (h >= '0' && h <= '9')
+                *unit |= uint32_t(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                *unit |= uint32_t(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                *unit |= uint32_t(h - 'A' + 10);
+            else
+                return fail("bad \\u escape digit");
+        }
+        return true;
     }
 
     bool
@@ -101,25 +129,26 @@ struct Parser
               case 'r': out->push_back('\r'); break;
               case 't': out->push_back('\t'); break;
               case 'u': {
-                if (pos + 4 > s.size())
-                    return fail("truncated \\u escape");
-                uint32_t cp = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = s[pos++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9')
-                        cp |= uint32_t(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        cp |= uint32_t(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        cp |= uint32_t(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
+                uint32_t cp;
+                if (!hex4(&cp))
+                    return false;
+                // A character past the BMP is escaped as a UTF-16
+                // pair: a high surrogate, then a \u low surrogate.
+                // Either half alone encodes no character.
+                if (cp >= 0xdc00 && cp <= 0xdfff)
+                    return fail("lone low surrogate");
+                if (cp >= 0xd800 && cp <= 0xdbff) {
+                    uint32_t low;
+                    if (s.compare(pos, 2, "\\u") != 0)
+                        return fail("lone high surrogate");
+                    pos += 2;
+                    if (!hex4(&low))
+                        return false;
+                    if (low < 0xdc00 || low > 0xdfff)
+                        return fail("high surrogate without a low one");
+                    cp = 0x10000 + ((cp - 0xd800) << 10) +
+                         (low - 0xdc00);
                 }
-                // Surrogates would need pairing; the protocol never
-                // emits them, so refuse rather than mis-decode.
-                if (cp >= 0xd800 && cp <= 0xdfff)
-                    return fail("surrogate \\u escape unsupported");
                 appendUtf8(out, cp);
                 break;
               }
@@ -130,38 +159,60 @@ struct Parser
         return fail("unterminated string");
     }
 
+    /** Consume a run of decimal digits; false when there is none. */
+    bool
+    digits()
+    {
+        size_t from = pos;
+        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
+            ++pos;
+        return pos > from;
+    }
+
+    /** One RFC 8259 number,
+     *  -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? -- and a run
+     *  that goes on past it (`01`, `1.`, `1.e5`, `1e5.0`) is malformed,
+     *  not split into two tokens. */
     bool
     parseNumber(double *out)
     {
-        size_t start = pos;
-        if (pos < s.size() && s[pos] == '-')
-            ++pos;
-        while (pos < s.size() &&
-               ((s[pos] >= '0' && s[pos] <= '9') || s[pos] == '.' ||
-                s[pos] == 'e' || s[pos] == 'E' || s[pos] == '+' ||
-                s[pos] == '-'))
-            ++pos;
-        if (pos == start) {
-            pos = start;
-            return fail("expected number");
-        }
-        std::string tok = s.substr(start, pos - start);
-        char *end = nullptr;
-        double v = std::strtod(tok.c_str(), &end);
-        if (!end || *end != '\0') {
+        const size_t start = pos;
+        auto malformed = [&] {
             pos = start;
             return fail("malformed number");
+        };
+        if (pos < s.size() && s[pos] == '-')
+            ++pos;
+        if (pos < s.size() && s[pos] == '0')
+            ++pos;
+        else if (!digits())
+            return pos == start ? fail("expected number") : malformed();
+        if (pos < s.size() && s[pos] == '.') {
+            ++pos;
+            if (!digits())
+                return malformed();
         }
+        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
+            ++pos;
+            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
+                ++pos;
+            if (!digits())
+                return malformed();
+        }
+        if (pos < s.size() &&
+            std::string_view("0123456789.eE+-").find(s[pos]) !=
+                std::string_view::npos)
+            return malformed();
+        std::string tok = s.substr(start, pos - start);
+        double v = std::strtod(tok.c_str(), nullptr);
         // Refuse what a double cannot hold: a literal past its range,
         // and an integer literal past 2^53, where a double skips
         // integers (an id would silently come back rounded).
         bool exact = std::isfinite(v);
         if (exact && tok.find_first_of(".eE") == std::string::npos) {
             uint64_t mag = 0;
-            const char *digits = tok.c_str() + (tok[0] == '-' ||
-                                                tok[0] == '+');
-            auto r = std::from_chars(digits, tok.c_str() + tok.size(),
-                                     mag);
+            auto r = std::from_chars(tok.c_str() + (tok[0] == '-'),
+                                     tok.c_str() + tok.size(), mag);
             exact = r.ec == std::errc() &&
                     mag <= uint64_t(kMaxExactInt);
         }

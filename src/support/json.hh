@@ -8,9 +8,11 @@
  *
  * The reader has to accept *hostile* input (frames from arbitrary
  * clients, stores rotting on disk), so it is a strict recursive-
- * descent parser with a depth cap, full escape handling, duplicate-
- * key rejection and precise error offsets, and it never throws:
- * malformed input comes back as `false` plus a diagnostic.
+ * descent parser with a depth cap, full escape handling (a `\u`
+ * surrogate pair decodes to one 4-byte UTF-8 character), RFC 8259
+ * number syntax, duplicate-key rejection and precise error offsets,
+ * and it never throws: malformed input comes back as `false` plus a
+ * diagnostic.
  *
  * dump() has one fixed spelling (`"key": value`, `, ` separators, no
  * newlines). Numbers are exact: integers up to 2^53 as plain digits,

@@ -289,6 +289,33 @@ smallParams(const std::string &name)
     return {20, 20};
 }
 
+/** A second reduced size per workload whose extents are multiples
+ *  of neither the clamped tile size (8) nor the lane width (4 or 8),
+ *  so tiles end partial and lane-block runs end in a scalar tail.
+ *  bilateral, interp and laplacian only accept multiples of 8, 16
+ *  and 4; there the odd lengths come from their downsampled levels
+ *  (bilateral's 5-cell grid, interp's 3-wide coarsest level,
+ *  laplacian's 5-wide second level). */
+driver::WorkloadParams
+oddParams(const std::string &name)
+{
+    if (name == "equake")
+        return {101, 7};
+    if (name == "convbn")
+        return {5, 11};
+    if (name == "unsharp")
+        return {11, 37};
+    if (name == "bilateral")
+        return {40, 40};
+    if (name == "interp")
+        return {48, 48};
+    if (name == "laplacian")
+        return {20, 28};
+    if (name == "camera")
+        return {22, 30};
+    return {21, 23};
+}
+
 /** Default tiles of the spec, each clamped to 8 so the reduced
  *  domains still split into several (partial) tiles. */
 std::vector<int64_t>
@@ -318,71 +345,82 @@ class TierDifferential
 {
 };
 
+/** Bytecode, traced and untraced, against the traced reference
+ *  interpreter on @p p compiled under @p s: buffers, counters and
+ *  the trace. The untraced run takes interval runs, nest advance
+ *  and lane blocks with their scalar tails. */
+void
+expectBytecodeMatchesInterpreter(const ir::Program &p,
+                                 const driver::WorkloadSpec &spec,
+                                 driver::Strategy s)
+{
+    driver::PipelineOptions popts;
+    popts.strategy = s;
+    popts.tileSizes = smallTiles(spec);
+    auto state = driver::Pipeline(popts).run(p);
+
+    Buffers ref(p);
+    initInputs(p, ref);
+    std::vector<TraceRecord> ref_trace;
+    ExecStats ref_stats =
+        run(p, state.ast, ref, [&](int space, int64_t off, bool w) {
+            ref_trace.push_back({off, int32_t(space), uint8_t(w)});
+        });
+
+    BytecodeKernel kernel = BytecodeKernel::compile(p, state.ast);
+    EXPECT_GT(kernel.numInstructions(), 0u);
+    Buffers bc(p);
+    initInputs(p, bc);
+    RecordingSink sink;
+    ExecStats bc_stats = kernel.run(bc, sink);
+
+    Buffers bc2(p);
+    initInputs(p, bc2);
+    ExecStats bc2_stats = kernel.run(bc2);
+
+    for (size_t t = 0; t < p.tensors().size(); ++t) {
+        EXPECT_EQ(ref.data(t), bc.data(t))
+            << "tensor " << p.tensor(t).name;
+        EXPECT_EQ(ref.data(t), bc2.data(t))
+            << "untraced, tensor " << p.tensor(t).name;
+    }
+    for (const ExecStats &got : {bc_stats, bc2_stats}) {
+        EXPECT_EQ(ref_stats.instances, got.instances);
+        EXPECT_EQ(ref_stats.loads, got.loads);
+        EXPECT_EQ(ref_stats.stores, got.stores);
+        EXPECT_EQ(ref_stats.guardFails, got.guardFails);
+        EXPECT_EQ(ref_stats.instancesParallel, got.instancesParallel);
+    }
+    EXPECT_EQ(bc_stats.simdLoops, 0u); // traced runs stay scalar
+
+    ASSERT_EQ(ref_trace.size(), sink.recs.size());
+    for (size_t i = 0; i < ref_trace.size(); ++i) {
+        const TraceRecord &a = ref_trace[i];
+        const TraceRecord &b = sink.recs[i];
+        ASSERT_TRUE(a.space == b.space && a.offset == b.offset &&
+                    a.isWrite == b.isWrite)
+            << "trace record " << i << " differs: (" << a.space << ","
+            << a.offset << "," << int(a.isWrite) << ") vs ("
+            << b.space << "," << b.offset << "," << int(b.isWrite)
+            << ")";
+    }
+}
+
 TEST_P(TierDifferential, BytecodeMatchesInterpreterExactly)
 {
     const driver::WorkloadSpec *spec =
         driver::findWorkload(GetParam());
     ASSERT_NE(spec, nullptr);
-    ir::Program p = spec->make(smallParams(spec->name));
-
-    for (driver::Strategy s : driver::allStrategies()) {
-        driver::PipelineOptions popts;
-        popts.strategy = s;
-        popts.tileSizes = smallTiles(*spec);
-        auto state = driver::Pipeline(popts).run(p);
-        SCOPED_TRACE(std::string(spec->name) + " / " +
-                     driver::strategyName(s));
-
-        // Reference interpreter, traced.
-        Buffers ref(p);
-        initInputs(p, ref);
-        std::vector<TraceRecord> ref_trace;
-        ExecStats ref_stats =
-            run(p, state.ast, ref,
-                [&](int space, int64_t off, bool w) {
-                    ref_trace.push_back(
-                        {off, int32_t(space), uint8_t(w)});
-                });
-
-        // Bytecode, traced.
-        BytecodeKernel kernel =
-            BytecodeKernel::compile(p, state.ast);
-        EXPECT_GT(kernel.numInstructions(), 0u);
-        Buffers bc(p);
-        initInputs(p, bc);
-        RecordingSink sink;
-        ExecStats bc_stats = kernel.run(bc, sink);
-
-        for (size_t t = 0; t < p.tensors().size(); ++t)
-            EXPECT_EQ(ref.data(t), bc.data(t))
-                << "tensor " << p.tensor(t).name;
-
-        EXPECT_EQ(ref_stats.instances, bc_stats.instances);
-        EXPECT_EQ(ref_stats.loads, bc_stats.loads);
-        EXPECT_EQ(ref_stats.stores, bc_stats.stores);
-        EXPECT_EQ(ref_stats.guardFails, bc_stats.guardFails);
-        EXPECT_EQ(ref_stats.instancesParallel,
-                  bc_stats.instancesParallel);
-
-        ASSERT_EQ(ref_trace.size(), sink.recs.size());
-        for (size_t i = 0; i < ref_trace.size(); ++i) {
-            const TraceRecord &a = ref_trace[i];
-            const TraceRecord &b = sink.recs[i];
-            ASSERT_TRUE(a.space == b.space &&
-                        a.offset == b.offset &&
-                        a.isWrite == b.isWrite)
-                << "trace record " << i << " differs: ("
-                << a.space << "," << a.offset << ","
-                << int(a.isWrite) << ") vs (" << b.space << ","
-                << b.offset << "," << int(b.isWrite) << ")";
+    for (const driver::WorkloadParams &params :
+         {smallParams(spec->name), oddParams(spec->name)}) {
+        ir::Program p = spec->make(params);
+        for (driver::Strategy s : driver::allStrategies()) {
+            SCOPED_TRACE(std::string(spec->name) + " " +
+                         std::to_string(params.rows) + "x" +
+                         std::to_string(params.cols) + " / " +
+                         driver::strategyName(s));
+            expectBytecodeMatchesInterpreter(p, *spec, s);
         }
-
-        // The untraced template path must write the same buffers.
-        Buffers bc2(p);
-        initInputs(p, bc2);
-        kernel.run(bc2);
-        for (size_t t = 0; t < p.tensors().size(); ++t)
-            EXPECT_EQ(bc.data(t), bc2.data(t));
     }
 }
 
@@ -510,13 +548,13 @@ compileSmall(const char *name, driver::Strategy strategy,
 }
 
 // ------------------------------------------------------------------
-// Backend registry sweep: every registered backend (tier x par x
-// simd) on every registry workload under every strategy must honor
-// its numerical contract against the Tier-0 interpreter --
-// bit-identical buffers when bitIdentical, else maxAbs within
-// maxAbsResidual. (Names carry "Backend" so the TSAN gate in
-// scripts/check.sh runs the multithreaded sweep; the registry covers
-// the parallel strategies at two thread counts each.)
+// Backend registry sweep: every registered backend (tier x parallel
+// strategy) on every registry workload under every strategy must
+// produce buffers bit-identical to the Tier-0 interpreter; the
+// measured deviation is the failure message. (Names carry "Backend"
+// so the TSAN gate in scripts/check.sh runs the multithreaded sweep;
+// the registry covers the parallel strategies at two thread counts
+// each.)
 // ------------------------------------------------------------------
 
 class BackendSweep : public ::testing::TestWithParam<const char *>
@@ -554,12 +592,9 @@ TEST_P(BackendSweep, HonorsNumericalContractOnEveryStrategy)
             EXPECT_EQ(r.tier, b.tier) << r.fallbackReason;
 
             BufferDeviation dev = bufferDeviation(p, ref, buf);
-            if (b.bitIdentical)
-                EXPECT_TRUE(dev.bitIdentical)
-                    << "maxAbs " << dev.maxAbs << ", maxUlp "
-                    << dev.maxUlp;
-            else
-                EXPECT_LE(dev.maxAbs, b.maxAbsResidual);
+            EXPECT_TRUE(dev.bitIdentical)
+                << "maxAbs " << dev.maxAbs << ", maxUlp "
+                << dev.maxUlp;
         }
     }
 }
@@ -576,18 +611,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BackendRegistry, LookupAndOptionsRoundTrip)
 {
-    EXPECT_GE(backendRegistry().size(), 10u);
-    const BackendSpec *b = findBackend("bytecode-par4-simd");
+    EXPECT_GE(backendRegistry().size(), 9u);
+    const BackendSpec *b = findBackend("bytecode-par4");
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->tier, Tier::Bytecode);
     EXPECT_EQ(b->par, ParStrategy::Static);
     EXPECT_EQ(b->threads, 4u);
-    EXPECT_EQ(b->simd, SimdMode::On);
     ExecOptions eo = backendOptions(*b);
     EXPECT_EQ(eo.tier, b->tier);
     EXPECT_EQ(eo.par, b->par);
     EXPECT_EQ(eo.threads, b->threads);
-    EXPECT_EQ(eo.simd, b->simd);
     EXPECT_EQ(findBackend("no-such-backend"), nullptr);
 
     // Two thread counts per parallel strategy, so the TSAN gate sees
@@ -601,9 +634,10 @@ TEST(BackendRegistry, LookupAndOptionsRoundTrip)
 TEST(BackendSimd, FastPathEngagesAndReportsLanes)
 {
     // harris's elementwise stages are unit-stride single-statement
-    // intervals with no same-base loads in vector range: the vector
-    // path must actually select (simdLoops > 0), execute whole lane
-    // blocks, and still be bit-identical -- a silent always-scalar
+    // intervals with no same-base loads in vector range: a default
+    // bytecode run must actually take lane blocks (simdLoops > 0),
+    // execute whole blocks, and still match the interpreter bit for
+    // bit and counter for counter -- a silent always-scalar
     // selection would pass the sweep while measuring nothing. (2mm
     // cannot engage: its k-innermost reductions have a zero-stride
     // store, and its init statements fuse with the k loop.)
@@ -612,38 +646,39 @@ TEST(BackendSimd, FastPathEngagesAndReportsLanes)
 
     Buffers ref(p);
     initInputs(p, ref);
-    ExecResult rs = execute(p, state.ast, ref, {});
+    ExecOptions interp;
+    interp.tier = Tier::Interp;
+    ExecResult ri = execute(p, state.ast, ref, interp);
 
     Buffers buf(p);
     initInputs(p, buf);
-    ExecOptions eo;
-    eo.simd = SimdMode::On;
-    ExecResult rv = execute(p, state.ast, buf, eo);
+    ExecResult rv = execute(p, state.ast, buf, {});
 
-    EXPECT_EQ(rv.simd, SimdMode::On);
-    EXPECT_TRUE(rv.simdFallbackReason.empty())
-        << rv.simdFallbackReason;
+    EXPECT_EQ(rv.tier, Tier::Bytecode);
     EXPECT_GT(rv.stats.simdLoops, 0u);
     EXPECT_GT(rv.stats.simdLanes, 0u);
     EXPECT_EQ(rv.stats.simdLanes % simdWidth(), 0u);
-    EXPECT_EQ(rs.stats.instances, rv.stats.instances);
-    EXPECT_EQ(rs.stats.loads, rv.stats.loads);
-    EXPECT_EQ(rs.stats.stores, rv.stats.stores);
+    EXPECT_EQ(ri.stats.instances, rv.stats.instances);
+    EXPECT_EQ(ri.stats.instancesParallel, rv.stats.instancesParallel);
+    EXPECT_EQ(ri.stats.flops, rv.stats.flops);
+    EXPECT_EQ(ri.stats.loads, rv.stats.loads);
+    EXPECT_EQ(ri.stats.stores, rv.stats.stores);
+    EXPECT_EQ(ri.stats.guardFails, rv.stats.guardFails);
     for (size_t t = 0; t < p.tensors().size(); ++t)
         EXPECT_EQ(ref.data(t), buf.data(t))
             << "tensor " << p.tensor(t).name;
 
-    // seidel's loop-carried flow dependences must make the per-run
+    // seidel's loop-carried flow dependences must make the per-loop
     // dependence check reject the block path lane-for-lane.
     ir::Program sp;
     auto sstate = compileSmall("seidel", driver::Strategy::MinFuse,
                                sp);
     Buffers sref(sp);
     initInputs(sp, sref);
-    execute(sp, sstate.ast, sref, {});
+    execute(sp, sstate.ast, sref, interp);
     Buffers sbuf(sp);
     initInputs(sp, sbuf);
-    ExecResult rsv = execute(sp, sstate.ast, sbuf, eo);
+    execute(sp, sstate.ast, sbuf, {});
     for (size_t t = 0; t < sp.tensors().size(); ++t)
         EXPECT_EQ(sref.data(t), sbuf.data(t))
             << "tensor " << sp.tensor(t).name;
@@ -726,8 +761,8 @@ TEST(BackendDeviation, MeasuresUlpAndAbsDeviation)
 }
 
 // Fast, TSAN-scaled differential: the instrumented parallel bytecode
-// backends (static and graph at 2 and 4 threads, plus simd under a
-// 4-thread team) against the scalar run, bit-identical, on two
+// backends (static and graph at 2 and 4 threads; every worker takes
+// lane blocks) against the sequential run, bit-identical, on two
 // workloads with very different tile graphs. The registry-wide
 // BackendSweep carries the same contract but its native pipeline
 // compiles make it minutes-long under TSAN; this suite is the
@@ -746,7 +781,7 @@ TEST(BackendTsanDifferential, ParallelBackendsStayBitIdentical)
 
         for (const char *bname :
              {"bytecode-par2", "bytecode-par4", "bytecode-graph2",
-              "bytecode-graph4", "bytecode-par4-simd"}) {
+              "bytecode-graph4"}) {
             const BackendSpec *b = findBackend(bname);
             ASSERT_NE(b, nullptr) << bname;
             SCOPED_TRACE(std::string(name) + " / " + bname);
@@ -967,9 +1002,10 @@ TEST(Engine, DispatchesAndReportsTier)
 
 // The two execute() overloads -- over a bare (program, AST) and over a
 // frozen KernelImage -- must walk the same tier ladder: bit-identical
-// buffers, the same tier and fallback reasons, the same parallel and
-// SIMD report, the same counters. Wall-clock seconds and ready-queue
-// spins (par.waits) are timing-dependent and excluded.
+// buffers, the same tier and fallback reasons, the same parallel
+// report, the same counters (lane blocks included). Wall-clock
+// seconds and ready-queue spins (par.waits) are timing-dependent and
+// excluded.
 TEST(Engine, ExecuteOverloadsAgree)
 {
     const bool have_cc = NativeKernel::toolchainAvailable();
@@ -982,13 +1018,9 @@ TEST(Engine, ExecuteOverloadsAgree)
     std::vector<Case> cases;
     for (const BackendSpec &b : backendRegistry())
         cases.push_back({b.name, backendOptions(b), false});
-    for (const char *name : {"native", "bytecode-par2", "bytecode-simd"})
+    for (const char *name : {"native", "bytecode-par2"})
         cases.push_back({std::string(name) + "+sink",
                          backendOptions(*findBackend(name)), true});
-    ExecOptions interp_simd;
-    interp_simd.tier = Tier::Interp;
-    interp_simd.simd = SimdMode::On;
-    cases.push_back({"interp+simd", interp_simd, false});
 
     for (const driver::WorkloadSpec &spec : driver::workloadRegistry()) {
         auto program = std::make_shared<const ir::Program>(
@@ -1022,8 +1054,6 @@ TEST(Engine, ExecuteOverloadsAgree)
             EXPECT_EQ(ra.tier, rb.tier);
             EXPECT_EQ(ra.fallbackReason, rb.fallbackReason);
             EXPECT_EQ(ra.parFallbackReason, rb.parFallbackReason);
-            EXPECT_EQ(ra.simd, rb.simd);
-            EXPECT_EQ(ra.simdFallbackReason, rb.simdFallbackReason);
             EXPECT_EQ(ra.par.threads, rb.par.threads);
             EXPECT_EQ(ra.par.strategy, rb.par.strategy);
             EXPECT_EQ(ra.par.regionsParallel, rb.par.regionsParallel);
@@ -1034,6 +1064,8 @@ TEST(Engine, ExecuteOverloadsAgree)
             EXPECT_EQ(ra.stats.instances, rb.stats.instances);
             EXPECT_EQ(ra.stats.loads, rb.stats.loads);
             EXPECT_EQ(ra.stats.stores, rb.stats.stores);
+            EXPECT_EQ(ra.stats.simdLoops, rb.stats.simdLoops);
+            EXPECT_EQ(ra.stats.simdLanes, rb.stats.simdLanes);
             EXPECT_EQ(sa.recs.size(), sb.recs.size());
         }
     }

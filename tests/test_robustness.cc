@@ -704,48 +704,6 @@ TEST_F(Robustness, ParSpawnFailpointDegradesToSequentialNative)
     EXPECT_EQ(ok.par.threads, 2u);
 }
 
-TEST_F(Robustness, SimdSelectFailpointFallsBackToScalar)
-{
-    ir::Program p = smallHarris();
-    PipelineOptions opts;
-    opts.strategy = Strategy::Ours;
-    CompilationState st = Pipeline(opts).run(p);
-
-    // Scalar reference buffers.
-    exec::Buffers ref(p);
-    fillInputs(p, ref);
-    exec::execute(p, st.ast, ref, {});
-
-    // The admission failpoint forces the scalar path: the run
-    // degrades before any loop executes, records the typed
-    // reason, and stays bit-identical.
-    failpoints::set("exec.simd.select", failpoints::Action::Error);
-    exec::Buffers buf(p);
-    fillInputs(p, buf);
-    exec::ExecOptions eopts;
-    eopts.simd = exec::SimdMode::On;
-    exec::ExecResult r = exec::execute(p, st.ast, buf, eopts);
-    EXPECT_EQ(r.tier, exec::Tier::Bytecode);
-    EXPECT_EQ(r.simd, exec::SimdMode::Off);
-    EXPECT_NE(r.simdFallbackReason.find("exec.simd.select"),
-              std::string::npos)
-        << r.simdFallbackReason;
-    EXPECT_EQ(r.stats.simdLoops, 0u);
-    EXPECT_EQ(r.stats.simdLanes, 0u);
-    for (size_t t = 0; t < p.tensors().size(); ++t)
-        EXPECT_EQ(buf.data(int(t)), ref.data(int(t)));
-
-    // Disarmed, the vector path engages again.
-    failpoints::clearAll();
-    exec::Buffers again(p);
-    fillInputs(p, again);
-    exec::ExecResult ok = exec::execute(p, st.ast, again, eopts);
-    EXPECT_EQ(ok.simd, exec::SimdMode::On);
-    EXPECT_GT(ok.stats.simdLoops, 0u);
-    for (size_t t = 0; t < p.tensors().size(); ++t)
-        EXPECT_EQ(again.data(int(t)), ref.data(int(t)));
-}
-
 // ---------------------------------------------------------------
 // Thread pool exception containment.
 // ---------------------------------------------------------------

@@ -219,6 +219,16 @@ TEST(ServiceProtocol, RejectsMalformedAndUnknownShapes)
         "{\"op\": \"ping\", \"id\": 1, \"bogus\": true}", &req,
         &err));
     EXPECT_NE(err.find("bogus"), std::string::npos) << err;
+    // "simd" is no field: the bytecode VM picks its lane blocks per
+    // loop, so a client still asking for them is refused.
+    EXPECT_FALSE(decodeRequest(
+        "{\"op\": \"compile\", \"id\": 1, \"workload\": \"conv2d\", "
+        "\"simd\": \"on\"}",
+        &req, &err));
+    EXPECT_NE(err.find("simd"), std::string::npos) << err;
+    // A number JSON forbids (RFC 8259 has no leading '+').
+    EXPECT_FALSE(
+        decodeRequest("{\"op\": \"ping\", \"id\": +1}", &req, &err));
     // Out-of-range values.
     EXPECT_FALSE(decodeRequest(
         "{\"op\": \"compile\", \"id\": 1, \"workload\": \"c\", "
@@ -627,16 +637,23 @@ TEST_F(ServiceTest, MalformedFrameGetsBadRequestAndConnSurvives)
     auto srv = startServer();
     Client c = connectTo(*srv);
 
-    // Straight garbage in a well-formed frame: typed badrequest.
+    // Straight garbage, a number JSON forbids and a field the
+    // protocol does not have, each in a well-formed frame: typed
+    // badrequest.
     std::string err;
-    ASSERT_TRUE(writeFrame(c.fd(), "this is not json", &err)) << err;
-    std::string payload;
-    ASSERT_EQ(readFrame(c.fd(), &payload, &err), FrameStatus::Ok)
-        << err;
     Response resp;
-    ASSERT_TRUE(decodeResponse(payload, &resp, &err)) << err;
-    EXPECT_FALSE(resp.ok);
-    EXPECT_EQ(resp.kind, ErrorKind::BadRequest);
+    for (const char *frame :
+         {"this is not json", "{\"op\": \"ping\", \"id\": +1}",
+          "{\"op\": \"compile\", \"id\": 2, \"workload\": "
+          "\"conv2d\", \"simd\": \"on\"}"}) {
+        ASSERT_TRUE(writeFrame(c.fd(), frame, &err)) << err;
+        std::string payload;
+        ASSERT_EQ(readFrame(c.fd(), &payload, &err), FrameStatus::Ok)
+            << err;
+        ASSERT_TRUE(decodeResponse(payload, &resp, &err)) << err;
+        EXPECT_FALSE(resp.ok) << frame;
+        EXPECT_EQ(resp.kind, ErrorKind::BadRequest) << frame;
+    }
 
     // The same connection keeps working afterwards.
     Request ping;

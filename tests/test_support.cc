@@ -10,11 +10,13 @@
 
 #include <atomic>
 
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <limits>
 #include <mutex>
 #include <random>
+#include <utility>
 
 #include "support/intmath.hh"
 #include "support/json.hh"
@@ -255,6 +257,55 @@ TEST(JsonReader, RefusesNumbersADoubleCannotHold)
                              "999999999999999999999999", "1e999"}) {
         EXPECT_FALSE(json::parse(text, &v, &err)) << text;
         EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    }
+}
+
+TEST(JsonReader, NumbersFollowRfc8259)
+{
+    json::Value v;
+    std::string err;
+    // strtod reads all of these; JSON's number grammar reads none,
+    // and a run past the grammar is refused, not split in two.
+    for (const char *text :
+         {"+1", "1.", ".5", "007", "01", "-.5", "1.e5"}) {
+        EXPECT_FALSE(json::parse(text, &v, &err)) << text;
+        size_t pos = 0;
+        EXPECT_FALSE(json::parseAt(text, &pos, &v)) << text;
+        EXPECT_EQ(pos, 0u) << text;
+    }
+    const std::pair<const char *, double> valid[] = {
+        {"-0", -0.0},     {"0.5", 0.5},         {"1e5", 1e5},
+        {"1E+5", 1e5},    {"-1.5e-3", -1.5e-3},
+        {"9007199254740992", 9007199254740992.0}};
+    for (const auto &[text, want] : valid) {
+        ASSERT_TRUE(json::parse(text, &v, &err)) << text << ": " << err;
+        EXPECT_EQ(v.number, want) << text;
+    }
+    ASSERT_TRUE(json::parse("-0", &v));
+    EXPECT_TRUE(std::signbit(v.number));
+}
+
+TEST(JsonReader, DecodesSurrogatePairs)
+{
+    // Python's default json.dumps (ensure_ascii) writes U+1F642 as a
+    // UTF-16 surrogate pair; it decodes to one 4-byte character.
+    json::Value v;
+    std::string err;
+    for (const char *text :
+         {"\"\\ud83d\\ude42\"", "\"\\uD83D\\uDE42\""}) {
+        ASSERT_TRUE(json::parse(text, &v, &err)) << text << ": " << err;
+        EXPECT_EQ(v.string, "\xf0\x9f\x99\x82") << text;
+    }
+    json::Value back;
+    ASSERT_TRUE(json::parse(json::dump(v), &back, &err)) << err;
+    EXPECT_TRUE(back == v);
+
+    // Half a pair encodes no character.
+    for (const char *text :
+         {"\"\\ud83d\"", "\"\\ude42\"", "\"\\ud83dx\"",
+          "\"\\ud83d\\u0041\"", "\"\\ud83d\\ud83d\""}) {
+        EXPECT_FALSE(json::parse(text, &v, &err)) << text;
+        EXPECT_NE(err.find("surrogate"), std::string::npos) << err;
     }
 }
 
