@@ -70,8 +70,10 @@ ubsan_supported() { sanitizer_supported -fsanitize=undefined; }
 # in the tile-graph parallel executor (the *Parallel* subset of
 # test_exec exercises the static and ready-queue paths at 2 and 8
 # threads) -- in the backend registry's parallel paths (Backend*
-# covers the bytecode-par/graph backends at 2 and 4 threads, whose
-# workers all run the lane blocks, and the parallel-native ladder;
+# covers the bytecode-par2/par4 backends on two static-split keys and
+# on seidel/minfuse, whose wavefront DAG drains through the ready
+# queue, with every worker running the lane blocks, and the
+# parallel-native ladder;
 # the registry-wide BackendSweep stays out, its pipeline compiles
 # would blow the gate's budget under TSAN) -- and in the sharded
 # KernelCache (the KernelCache subset of test_artifact hammers

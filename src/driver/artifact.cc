@@ -1,6 +1,5 @@
 #include "driver/artifact.hh"
 
-#include <thread>
 #include <utility>
 
 #include "support/logging.hh"
@@ -42,8 +41,7 @@ cacheStat(const exec::KernelCache &cache, bool hit, double lookup_ms)
 
 pres::Fingerprint
 programFingerprint(const ir::Program &program,
-                   const PipelineOptions &options, exec::Tier tier,
-                   exec::ParStrategy par, unsigned par_threads)
+                   const PipelineOptions &options, exec::Tier tier)
 {
     pres::Fingerprinter fp;
     fp.mix(kFingerprintVersion);
@@ -65,21 +63,6 @@ programFingerprint(const ir::Program &program,
     fp.mix(uint64_t(options.footprintDilation));
     fp.mixBool(options.gen.promoteIntermediates);
     fp.mix(exec::tierName(tier));
-    // The tile-team shape is baked into a parallel native TU, so it
-    // (and the probed toolchain mode deciding OpenMP vs generated
-    // std::thread) must key the artifact.
-    if (tier == exec::Tier::Native &&
-        par != exec::ParStrategy::Off) {
-        fp.mix(exec::parStrategyName(par));
-        unsigned nt = par_threads
-                          ? par_threads
-                          : std::thread::hardware_concurrency();
-        if (nt == 0)
-            nt = 1;
-        fp.mix(uint64_t(nt));
-        fp.mix(exec::nativeParModeName(
-            exec::NativeKernel::parallelToolchain()));
-    }
     return fp.fingerprint();
 }
 
@@ -94,8 +77,7 @@ compileKernel(const Pipeline &pipeline,
 
     KernelArtifact artifact;
     artifact.fingerprint = programFingerprint(
-        *program, pipeline.options(), artifact_options.tier,
-        artifact_options.par, artifact_options.parThreads);
+        *program, pipeline.options(), artifact_options.tier);
     artifact.requestedStrategy = pipeline.options().strategy;
     artifact.effectiveStrategy = pipeline.options().strategy;
 

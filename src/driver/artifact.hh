@@ -48,19 +48,15 @@ namespace driver {
  * The plan stage: fingerprint of compiling @p program under
  * @p options for @p tier. See the stability contract above.
  *
- * Backend parameters fold in exactly when they change emitted
- * code: with tier == Native and a parallel @p par, the strategy,
- * the resolved team size and the probed parallel toolchain mode
- * are mixed (the tile-team shape is baked into the native TU), so
- * a warm cache hit can never serve a kernel compiled for a
- * different backend. The bytecode VM's parallel strategy is no
- * input: it changes no emitted code.
+ * The thread count is no input: the bytecode VM's team changes no
+ * emitted code, and a native tile team is baked into its own
+ * per-shape slot of the image (KernelImage::ensureNative), so one
+ * cached image serves every team size without ever handing out a
+ * kernel compiled for another.
  */
 pres::Fingerprint
 programFingerprint(const ir::Program &program,
-                   const PipelineOptions &options, exec::Tier tier,
-                   exec::ParStrategy par = exec::ParStrategy::Off,
-                   unsigned par_threads = 0);
+                   const PipelineOptions &options, exec::Tier tier);
 
 /** Knobs of compileKernel beyond the pipeline options. */
 struct ArtifactOptions
@@ -71,16 +67,6 @@ struct ArtifactOptions
     /** Execution tier the artifact targets (part of the
      *  fingerprint; the native handle still compiles lazily). */
     exec::Tier tier = exec::Tier::Bytecode;
-
-    /** Tile scheduling strategy the kernel will run with; part of
-     *  the fingerprint only when tier == Native (see
-     *  programFingerprint). */
-    exec::ParStrategy par = exec::ParStrategy::Off;
-
-    /** Team size for a parallel native kernel (0: hardware
-     *  count); fingerprint-relevant only when tier == Native and
-     *  par != Off. */
-    unsigned parThreads = 0;
 };
 
 /** An immutable compiled kernel plus its compile-time record. */

@@ -40,7 +40,6 @@
 #include "support/failpoint.hh"
 #include "support/json.hh"
 #include "support/thread_pool.hh"
-#include "workloads/equake.hh"
 
 using namespace polyfuse;
 
@@ -87,16 +86,11 @@ usage(FILE *to)
         "                        interp|bytecode|native (default:\n"
         "                        bytecode; implies --run)\n"
         "  --native              shorthand for --exec native\n"
-        "  --threads N           worker threads for --run (0 = all\n"
-        "                        hardware threads; implies --run)\n"
-        "  --par off|static|graph\n"
-        "                        tile scheduling strategy for --run\n"
-        "                        (bytecode tier; static = coincident\n"
-        "                        bands only, graph = also wavefront\n"
-        "                        bands via the inter-tile DAG;\n"
-        "                        with --exec native, compiles a\n"
-        "                        tile-team over coincident bands;\n"
-        "                        implies --run)\n"
+        "  --threads N           tile team for --run: 1 runs\n"
+        "                        sequentially (the default), N > 1\n"
+        "                        runs the parallel and wavefront\n"
+        "                        tile bands on N workers, 0 = one\n"
+        "                        per hardware thread (implies --run)\n"
         "  --cache               consult/populate the process-wide\n"
         "                        kernel cache (fingerprint-keyed;\n"
         "                        repeat compiles of the same program\n"
@@ -261,7 +255,6 @@ main(int argc, char **argv)
     bool do_run = false;
     exec::Tier tier = exec::Tier::Bytecode;
     unsigned run_threads = 1;
-    exec::ParStrategy par = exec::ParStrategy::Off;
     bool use_cache = false;
     uint64_t cache_bytes = 0;
     unsigned repeatN = 1;
@@ -398,18 +391,7 @@ main(int argc, char **argv)
                              "polyfuse: bad --threads '%s'\n", v);
                 return 2;
             }
-            run_threads =
-                n == 0 ? polyfuse::ThreadPool::defaultThreads()
-                       : unsigned(n);
-            do_run = true;
-        } else if (arg == "--par") {
-            std::string name = value(i);
-            if (!exec::parseParStrategy(name, &par)) {
-                std::fprintf(stderr,
-                             "polyfuse: unknown --par '%s'\n",
-                             name.c_str());
-                return 2;
-            }
+            run_threads = unsigned(n);
             do_run = true;
         } else if (arg == "--cache") {
             use_cache = true;
@@ -603,7 +585,6 @@ main(int argc, char **argv)
             req.run = do_run;
             req.deadlineMs = deadline_ms;
             req.threads = run_threads;
-            req.par = exec::parStrategyName(par);
         }
         service::Response resp;
         if (!client.call(req, &resp, &err)) {
@@ -674,13 +655,7 @@ main(int argc, char **argv)
         std::make_shared<const ir::Program>(spec->make(params));
 
     auto fill_inputs = [&](exec::Buffers &buffers) {
-        if (program->name() == "equake") {
-            workloads::initEquakeInputs(*program, buffers, 11);
-        } else {
-            for (size_t t = 0; t < program->tensors().size(); ++t)
-                if (program->tensor(t).kind != ir::TensorKind::Temp)
-                    buffers.fillPattern(t, 1000 + t);
-        }
+        service::fillServiceInputs(*program, buffers);
     };
 
     // Plan stage: auto-tuned tile sizes first (they are part of the
@@ -752,8 +727,6 @@ main(int argc, char **argv)
 
     driver::ArtifactOptions aopts;
     aopts.tier = tier;
-    aopts.par = par;
-    aopts.parThreads = run_threads;
     if (use_cache) {
         aopts.cache = &exec::KernelCache::process();
         if (cache_bytes)
@@ -811,7 +784,6 @@ main(int argc, char **argv)
             exec::ExecOptions eopts;
             eopts.tier = tier;
             eopts.threads = run_threads;
-            eopts.par = par;
             try {
                 result =
                     driver::executeKernel(artifact, buffers, eopts);
@@ -877,7 +849,6 @@ main(int argc, char **argv)
             const exec::ParRunStats &p = result.par;
             json::Value par;
             par.set("threads", p.threads);
-            par.set("strategy", exec::parStrategyName(p.strategy));
             par.set("regionsParallel", p.regionsParallel);
             par.set("regionsSequential", p.regionsSequential);
             par.set("tilesExecuted", p.tilesExecuted);
@@ -920,9 +891,8 @@ main(int argc, char **argv)
                 (unsigned long long)result.stats.stores);
         if (result.par.threads > 0)
             std::printf(
-                ", par %s x%u (%llu tiles, %llu waits, "
+                ", par x%u (%llu tiles, %llu waits, "
                 "critical path %llu)",
-                exec::parStrategyName(result.par.strategy),
                 result.par.threads,
                 (unsigned long long)result.par.tilesExecuted,
                 (unsigned long long)result.par.waits,

@@ -1742,7 +1742,6 @@ BytecodeKernel::run(Buffers &buffers, TraceSink &sink) const
 
 ExecStats
 BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
-                            ParStrategy strategy,
                             const std::vector<deps::TileBandGraph> *bands,
                             ParRunStats &par,
                             std::string &fallback_reason) const
@@ -1752,8 +1751,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
     const Image &img = *image_;
     Timer timer;
     par = ParRunStats{};
-    if (threads == 0)
-        threads = ThreadPool::defaultThreads();
+    threads = resolveThreads(threads);
 
     Machine main(img, buffers);
 
@@ -1778,17 +1776,15 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
             if (!p.cls || p.cls->cls == TileBandClass::Serial)
                 continue;
             if (p.cls->cls == TileBandClass::FullyParallel) {
-                // Independent tiles: the static fast path serves
-                // both strategies.
+                // Independent tiles: the static fast path.
                 main.enumerateTiles(r, p.tiles);
                 p.n = int64_t(p.tiles.size() / L);
                 p.mode = RegionMode::Static;
                 p.critical = p.n > 0 ? 1 : 0;
                 continue;
             }
-            // Wavefront: needs the dynamic executor.
-            if (strategy != ParStrategy::Graph)
-                continue;
+            // Wavefront: plan the inter-tile DAG; it takes the ready
+            // queue only when it has width.
             failpoints::hit("exec.par.tilegraph");
             main.enumerateTiles(r, p.tiles);
             p.n = int64_t(p.tiles.size() / L);
@@ -1865,7 +1861,10 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
             }
             p.critical = uint64_t(*std::max_element(
                 depth.begin(), depth.end()));
-            p.mode = RegionMode::Graph;
+            // A chain (critical path == tile count) has nothing to
+            // overlap: the queue would only add spins.
+            if (p.critical < uint64_t(p.n))
+                p.mode = RegionMode::Graph;
         }
         failpoints::hit("exec.par.spawn");
         pool = std::make_unique<ThreadPool>(threads);
@@ -1878,7 +1877,6 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
     // ---- Execution: sequential glue on the launching machine,
     // regions per their plan.
     par.threads = pool->size();
-    par.strategy = strategy;
     ExecStats total;
     std::mutex mu;
     int32_t cursor = 0;

@@ -84,9 +84,12 @@ class BytecodeKernel
     ExecStats run(Buffers &buffers, TraceSink &sink) const;
 
     /**
-     * Execute with up to @p threads workers scheduling the tape's
-     * tile regions per @p strategy, gated by the @p bands
-     * classifications (see ParStrategy). Untraced only. Guaranteed
+     * Execute with @p threads workers (0: one per hardware thread)
+     * scheduling the tape's tile regions, gated by the @p bands
+     * classifications (see resolveThreads): fully-parallel regions
+     * split their tiles statically, wavefront regions drain their
+     * tile DAG through a ready queue unless the DAG is a chain,
+     * which runs sequentially. Untraced only. Guaranteed
      * bit-identical to run(): identical buffers and identical stats
      * (except wall-clock seconds).
      *
@@ -99,7 +102,6 @@ class BytecodeKernel
      * already executing propagates as the error it is.
      */
     ExecStats runParallel(Buffers &buffers, unsigned threads,
-                          ParStrategy strategy,
                           const std::vector<deps::TileBandGraph> *bands,
                           ParRunStats &par,
                           std::string &fallback_reason) const;

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "exec/kernel_cache.hh"
+#include "support/thread_pool.hh"
 
 namespace polyfuse {
 namespace exec {
@@ -35,29 +36,10 @@ parseTier(const std::string &text, Tier *out)
     return true;
 }
 
-const char *
-parStrategyName(ParStrategy strategy)
+unsigned
+resolveThreads(unsigned threads)
 {
-    switch (strategy) {
-      case ParStrategy::Off: return "off";
-      case ParStrategy::Static: return "static";
-      case ParStrategy::Graph: return "graph";
-    }
-    return "?";
-}
-
-bool
-parseParStrategy(const std::string &text, ParStrategy *out)
-{
-    if (text == "off")
-        *out = ParStrategy::Off;
-    else if (text == "static")
-        *out = ParStrategy::Static;
-    else if (text == "graph")
-        *out = ParStrategy::Graph;
-    else
-        return false;
-    return true;
+    return threads ? threads : ThreadPool::defaultThreads();
 }
 
 ExecResult
@@ -95,15 +77,13 @@ const std::vector<BackendSpec> &
 backendRegistry()
 {
     static const std::vector<BackendSpec> registry = {
-        {"interp", Tier::Interp, ParStrategy::Off, 1},
-        {"bytecode", Tier::Bytecode, ParStrategy::Off, 1},
-        {"bytecode-par2", Tier::Bytecode, ParStrategy::Static, 2},
-        {"bytecode-par4", Tier::Bytecode, ParStrategy::Static, 4},
-        {"bytecode-graph2", Tier::Bytecode, ParStrategy::Graph, 2},
-        {"bytecode-graph4", Tier::Bytecode, ParStrategy::Graph, 4},
-        {"native", Tier::Native, ParStrategy::Off, 1},
-        {"native-par2", Tier::Native, ParStrategy::Static, 2},
-        {"native-par4", Tier::Native, ParStrategy::Static, 4},
+        {"interp", Tier::Interp, 1},
+        {"bytecode", Tier::Bytecode, 1},
+        {"bytecode-par2", Tier::Bytecode, 2},
+        {"bytecode-par4", Tier::Bytecode, 4},
+        {"native", Tier::Native, 1},
+        {"native-par2", Tier::Native, 2},
+        {"native-par4", Tier::Native, 4},
     };
     return registry;
 }
@@ -122,7 +102,6 @@ backendOptions(const BackendSpec &spec)
 {
     ExecOptions options;
     options.tier = spec.tier;
-    options.par = spec.par;
     options.threads = spec.threads;
     return options;
 }

@@ -46,34 +46,40 @@ const char *tierName(Tier tier);
 bool parseTier(const std::string &text, Tier *out);
 
 /**
- * How tile regions are scheduled across threads (bytecode tier).
+ * The team size a run of @p threads uses: @p threads itself, or one
+ * per hardware thread when it is 0. This is the one parallel rule of
+ * every tier: a team of one runs sequentially, a larger team runs
+ * the tile regions its plan proves independent.
  *
- *   Off    -- sequential lexicographic order (the default).
- *   Static -- fully-parallel bands run under a blocking parallel_for
- *             over their tiles; wavefront/serial bands stay
- *             sequential.
- *   Graph  -- fully-parallel bands take the static fast path;
- *             wavefront bands run through the dynamic ready-queue
- *             executor driven by the inter-tile dependence stencil
- *             (deps::tileGraph); serial bands stay sequential.
+ *   bytecode -- fully-parallel bands run under a blocking
+ *               parallel_for over their tiles; a wavefront band
+ *               drains its inter-tile dependence DAG
+ *               (deps::tileGraph) through a ready queue when the
+ *               DAG's critical path is shorter than its tile count,
+ *               and runs sequentially when the DAG is a chain; serial
+ *               bands stay sequential.
+ *   native   -- fully-parallel top-level tile bands run on a tile
+ *               team compiled into the kernel; every other band
+ *               stays sequential.
  *
  * Parallel runs are bit-identical to sequential runs: tiles of a
  * fully-parallel band write disjoint footprints, and the wavefront
  * DAG orders every cross-tile dependence.
  */
+unsigned resolveThreads(unsigned threads);
+
+/**
+ * Whether a native kernel emits a tile team. Not an execution knob:
+ * the tier ladder derives {Static, n} from the resolved thread count
+ * (see resolveThreads); the type stays for callers that compile a
+ * team kernel directly through NativeOptions (the HD benchmark's
+ * two-thread row).
+ */
 enum class ParStrategy
 {
     Off,
     Static,
-    Graph,
 };
-
-/** Stable lower-case name ("off" | "static" | "graph"). */
-const char *parStrategyName(ParStrategy strategy);
-
-/** Parse a parStrategyName() spelling; false (and *out untouched) on
- *  anything else. */
-bool parseParStrategy(const std::string &text, ParStrategy *out);
 
 /** Lane width of the bytecode VM's vector blocks (a compile-time
  *  probe of the host ISA: 8 with AVX2/AVX-512, 4 otherwise). Every
@@ -86,7 +92,6 @@ unsigned simdWidth();
 struct ParRunStats
 {
     unsigned threads = 0;   ///< worker threads used (0: sequential)
-    ParStrategy strategy = ParStrategy::Off; ///< strategy that ran
     uint64_t regionsParallel = 0;   ///< tile regions run in parallel
     uint64_t regionsSequential = 0; ///< regions kept sequential
     uint64_t tilesExecuted = 0;     ///< tiles launched onto workers
@@ -104,10 +109,9 @@ struct ExecOptions
     bool allowFallback = true;
     /** Batched trace consumer (interp/bytecode tiers only). */
     TraceSink *sink = nullptr;
-    /** Worker threads for parallel strategies (0: hardware count). */
+    /** Worker threads: 1 runs sequentially, N > 1 runs a tile team
+     *  of N, 0 one per hardware thread (see resolveThreads). */
     unsigned threads = 1;
-    /** Tile scheduling strategy (bytecode tier only). */
-    ParStrategy par = ParStrategy::Off;
     /** Per-band classifications from deps::tileGraph, keyed by
      *  bandId. Without them every region stays sequential (the
      *  coincident flags alone do not prove tile independence once
@@ -124,8 +128,8 @@ struct ExecResult
     std::string fallbackReason;
     /** Parallel-run counters (threads == 0 when sequential ran). */
     ParRunStats par;
-    /** Why a requested parallel strategy degraded to sequential
-     *  ("" when it ran as requested). */
+    /** Why a requested tile team degraded to sequential ("" when
+     *  it ran as requested). */
     std::string parFallbackReason;
 };
 
@@ -142,7 +146,7 @@ ExecResult execute(const ir::Program &program,
                    const ExecOptions &options = {});
 
 /**
- * One named point in the backend space (tier x parallel strategy).
+ * One named point in the backend space (tier x team size).
  * Every registered backend promises buffers bit-identical to the
  * Tier-0 interpreter: the native emitter pins `-ffp-contract=off`,
  * parallel tiles write disjoint footprints in program order, and the
@@ -154,13 +158,12 @@ struct BackendSpec
 {
     const char *name;  ///< stable id, e.g. "bytecode-par4"
     Tier tier;
-    ParStrategy par;
-    unsigned threads;  ///< worker threads when par != Off
+    unsigned threads;  ///< ExecOptions::threads (1: sequential)
 };
 
-/** Every backend the engine can run, in reporting order. The list
- *  covers the parallel strategies at >= 2 thread counts so the TSAN
- *  gate exercises real cross-thread interleavings. */
+/** Every backend the engine can run, in reporting order. Each
+ *  parallel tier appears at two team sizes so the TSAN gate
+ *  exercises real cross-thread interleavings. */
 const std::vector<BackendSpec> &backendRegistry();
 
 /** Look a backend up by its stable name; nullptr when unknown. */

@@ -1,7 +1,6 @@
 #include "exec/kernel_cache.hh"
 
 #include <chrono>
-#include <thread>
 
 #include "support/failpoint.hh"
 #include "support/logging.hh"
@@ -20,14 +19,7 @@ KernelImage::ensureNative(const NativeOptions &options,
                           std::string *reason, bool *transient) const
 {
     const bool parallel = options.par != ParStrategy::Off;
-    unsigned nt = 1;
-    if (parallel) {
-        nt = options.threads
-                 ? options.threads
-                 : std::thread::hardware_concurrency();
-        if (nt == 0)
-            nt = 1;
-    }
+    const unsigned nt = parallel ? resolveThreads(options.threads) : 1;
     std::lock_guard<std::mutex> lock(nativeMu_);
     NativeSlot *slot = nullptr;
     for (auto &s : nativeSlots_)
@@ -58,6 +50,18 @@ KernelImage::ensureNative(const NativeOptions &options,
     if (transient)
         *transient = slot->kernel.transient();
     return nullptr;
+}
+
+NativeOptions
+nativeTeam(unsigned threads)
+{
+    NativeOptions options;
+    unsigned team = resolveThreads(threads);
+    if (team > 1) {
+        options.par = ParStrategy::Static;
+        options.threads = team;
+    }
+    return options;
 }
 
 uint64_t
@@ -96,7 +100,8 @@ execute(const KernelImage &image, Buffers &buffers,
     ExecResult result;
     Tier tier = options.tier;
     const bool tracing = options.sink != nullptr;
-    bool want_par = options.par != ParStrategy::Off;
+    const unsigned team = resolveThreads(options.threads);
+    bool want_par = team > 1;
 
     if (tier == Tier::Native && tracing) {
         if (!options.allowFallback)
@@ -122,9 +127,7 @@ execute(const KernelImage &image, Buffers &buffers,
                 par_reason = e.what();
             }
             if (planned) {
-                NativeOptions nopts;
-                nopts.par = options.par;
-                nopts.threads = options.threads;
+                NativeOptions nopts = nativeTeam(team);
                 nopts.tileBands = options.tileBands;
                 kernel = image.ensureNative(nopts, &par_reason);
             }
@@ -136,7 +139,6 @@ execute(const KernelImage &image, Buffers &buffers,
                 result.parFallbackReason = kernel->parReason();
             } else {
                 result.par.threads = kernel->threads();
-                result.par.strategy = options.par;
                 result.par.regionsParallel =
                     kernel->regionsParallel();
                 result.par.regionsSequential =
@@ -169,8 +171,8 @@ execute(const KernelImage &image, Buffers &buffers,
         }
         if (want_par)
             result.stats = image.bytecode.runParallel(
-                buffers, options.threads, options.par, bands,
-                result.par, result.parFallbackReason);
+                buffers, team, bands, result.par,
+                result.parFallbackReason);
         else if (tracing)
             result.stats = image.bytecode.run(buffers, *options.sink);
         else

@@ -99,6 +99,12 @@ struct KernelImage
     mutable std::vector<std::unique_ptr<NativeSlot>> nativeSlots_;
 };
 
+/** The native kernel shape a run of @p threads uses (the one rule
+ *  of resolveThreads): the sequential kernel for a team of one, a
+ *  static tile team of the resolved size otherwise. The tier ladder
+ *  and the compile service's retry loop both ask for this slot. */
+NativeOptions nativeTeam(unsigned threads);
+
 /** Rough resident-byte estimate of @p image for LRU weighting. */
 uint64_t estimateImageBytes(const KernelImage &image);
 

@@ -763,6 +763,27 @@ probeCompile(const std::string &file_name, const std::string &code,
     return ok;
 }
 
+/** One kernel build's mkdtemp directory, source and shared object;
+ *  the destructor removes all three. */
+struct BuildDir
+{
+    std::string dir, src, so;
+
+    BuildDir(const char *created, const char *src_name)
+        : dir(created), src(dir + src_name), so(dir + "/kernel.so")
+    {
+    }
+    BuildDir(const BuildDir &) = delete;
+    BuildDir &operator=(const BuildDir &) = delete;
+
+    ~BuildDir()
+    {
+        std::remove(src.c_str());
+        std::remove(so.c_str());
+        rmdir(dir.c_str());
+    }
+};
+
 /** True when the C toolchain accepts *and links* -fopenmp -- the
  *  probe contains a real parallel-for so a clang without libomp
  *  fails here, not in a kernel compile (cached). */
@@ -844,17 +865,6 @@ countEligibleRegions(const AstPtr &n, const std::set<int> &par_bands)
 }
 
 } // namespace
-
-const char *
-nativeParModeName(NativeParMode mode)
-{
-    switch (mode) {
-      case NativeParMode::Seq: return "seq";
-      case NativeParMode::Omp: return "omp";
-      case NativeParMode::Threads: return "threads";
-    }
-    return "seq";
-}
 
 std::string
 emitNativeSource(const Program &program, const AstPtr &ast,
@@ -965,16 +975,13 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
             k.transient_ = true;
             return k;
         }
-        std::string dir = tmpl;
-        std::string src_path =
-            dir + (mode == NativeParMode::Threads ? "/kernel.cc"
-                                                  : "/kernel.c");
-        std::string so_path = dir + "/kernel.so";
-        auto cleanup = [&]() {
-            std::remove(src_path.c_str());
-            std::remove(so_path.c_str());
-            rmdir(dir.c_str());
-        };
+        // Removed on every way out of this block, a throw included;
+        // a loaded object stays mapped without its file.
+        const BuildDir build(tmpl, mode == NativeParMode::Threads
+                                       ? "/kernel.cc"
+                                       : "/kernel.c");
+        const std::string &src_path = build.src;
+        const std::string &so_path = build.so;
 
         {
             std::ofstream src(src_path);
@@ -985,7 +992,6 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
             if (!src) {
                 k.reason_ = "failed to write " + src_path;
                 k.transient_ = true;
-                cleanup();
                 return k;
             }
         }
@@ -1003,7 +1009,6 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
         if (std::system(cmd.c_str()) != 0) {
             k.reason_ = "native compile failed (" + cc + ")";
             k.transient_ = true;
-            cleanup();
             return k;
         }
 
@@ -1024,15 +1029,12 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
             k.reason_ = std::string("dlopen failed: ") +
                         (err ? err : "unknown");
             k.transient_ = true;
-            cleanup();
             return k;
         }
         auto handle = std::make_shared<Handle>();
         handle->dl = dl;
         handle->fn = reinterpret_cast<void (*)(double **)>(
             dlsym(dl, "pf_kernel"));
-        // The object stays mapped; the files can go away now.
-        cleanup();
         if (!handle->fn) {
             // Permanent: the emitted source is wrong, not the
             // environment; recompiling yields the same object.

@@ -64,16 +64,15 @@ enum class NativeParMode
     Threads,
 };
 
-/** Stable lower-case name ("seq" | "omp" | "threads"). */
-const char *nativeParModeName(NativeParMode mode);
-
 /** How to compile a native kernel beyond the sequential default. */
 struct NativeOptions
 {
-    /** Off emits the sequential kernel. Static and Graph both
-     *  parallelize fully-parallel top-level tile bands (native has
-     *  no wavefront executor; wavefront/serial bands stay
-     *  sequential under either spelling). */
+    /** Off emits the sequential kernel; Static gives fully-parallel
+     *  top-level tile bands a tile team (native has no wavefront
+     *  executor, so wavefront/serial bands stay sequential). The
+     *  tier ladder sets it from the thread count (nativeTeam in
+     *  kernel_cache.hh); the field stays for callers that compile
+     *  a team kernel directly (perfbench/hd.cc). */
     ParStrategy par = ParStrategy::Off;
     /** Tile-team size (0: one per hardware thread). Baked into the
      *  emitted code, so it is part of the kernel-cache key. */
@@ -125,7 +124,7 @@ class NativeKernel
                                 const codegen::AstPtr &ast);
 
     /**
-     * As above, but honoring @p options: with a parallel strategy
+     * As above, but honoring @p options: with a tile team
      * requested, picks the strongest available parallel toolchain
      * (OpenMP, then generated std::thread, per parallelToolchain())
      * and emits tile-teams over the fully-parallel top-level bands.
@@ -147,11 +146,11 @@ class NativeKernel
      *  meaningless when ok(). */
     bool transient() const { return transient_; }
 
-    /** How the compiled kernel parallelizes (Seq unless a parallel
-     *  strategy was requested, admitted and emitted). */
+    /** How the compiled kernel parallelizes (Seq unless a tile team
+     *  was requested, admitted and emitted). */
     NativeParMode parMode() const { return par_mode_; }
 
-    /** Why a requested parallel strategy came out sequential (""
+    /** Why a requested tile team came out sequential (""
      *  when it was emitted, or was never requested). */
     const std::string &parReason() const { return par_reason_; }
 

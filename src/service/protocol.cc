@@ -225,7 +225,6 @@ encodeRequest(const Request &req)
     if (req.deadlineMs > 0)
         out.set("deadlineMs", req.deadlineMs);
     out.set("threads", req.threads);
-    out.set("par", req.par);
     return json::dump(out);
 }
 
@@ -290,13 +289,9 @@ decodeRequest(const std::string &payload, Request *out,
                 return fail(error, "deadlineMs out of range");
             req.deadlineMs = v.number;
         } else if (key == "threads") {
-            if (!asUint(v, &u) || u > 4096)
+            if (!asUint(v, &u) || u > kMaxThreads)
                 return fail(error, "threads out of range");
             req.threads = unsigned(u);
-        } else if (key == "par") {
-            if (!v.isString())
-                return fail(error, "par must be a string");
-            req.par = v.string;
         } else {
             return fail(error, "unknown request field '" + key +
                                    "'");

@@ -16,7 +16,11 @@
  *   {"op": "compile"|"ping"|"stats"|"shutdown", "id": N,
  *    "workload": "...", "rows": N, "cols": N, "strategy": "...",
  *    "tiles": [..], "innerTiles": [..], "tier": "...",
- *    "run": true, "deadlineMs": N, "threads": N, "par": "..."}
+ *    "run": true, "deadlineMs": N, "threads": N}
+ *
+ * "threads" is the run's one parallel knob (0..kMaxThreads): 1, the
+ * default, runs sequentially, N > 1 runs a tile team of N, 0 one per
+ * hardware thread of the server.
  *
  * Responses either carry a "result" object (fingerprint, effective
  * tier/strategy, fallback trail, cache hit, retry count, queue wait,
@@ -41,6 +45,10 @@ namespace service {
 
 /** Ceiling on one frame's payload bytes (requests and responses). */
 constexpr uint32_t kMaxFrameBytes = 1u << 20;
+
+/** Ceiling on a request's "threads": each run of that many starts a
+ *  team of that many workers. */
+constexpr unsigned kMaxThreads = 64;
 
 /** What readFrame observed on the stream. */
 enum class FrameStatus
@@ -83,8 +91,7 @@ struct Request
     std::string tier = "bytecode"; ///< interp | bytecode | native
     bool run = true;       ///< execute after compiling
     double deadlineMs = 0; ///< whole-request deadline; 0 = none
-    unsigned threads = 1;  ///< worker threads for the run
-    std::string par = "off"; ///< off | static | graph
+    unsigned threads = 1;  ///< run team size (exec::resolveThreads)
 };
 
 /** The typed error taxonomy of the service. */
@@ -147,7 +154,7 @@ struct Response
     double queueMs = 0;  ///< admission-to-start wait
     unsigned retries = 0; ///< native-tier retries this request
     std::string bufferHash; ///< 16-hex FNV of every output buffer
-    std::string backend; ///< effective "tier[+par[xN]]" label
+    std::string backend; ///< effective "tier[+parN]" label
 
     ServerStats server; ///< filled for the "stats" op
 };

@@ -393,13 +393,6 @@ Server::handleCompile(const Request &req,
                      "unknown tier '" + req.tier + "'");
             return;
         }
-        exec::ParStrategy par;
-        if (!exec::parseParStrategy(req.par, &par)) {
-            failWith(ErrorKind::BadRequest,
-                     "unknown par strategy '" + req.par + "'");
-            return;
-        }
-
         driver::WorkloadParams params = spec->defaults;
         if (req.rows > 0)
             params.rows = req.rows;
@@ -419,10 +412,7 @@ Server::handleCompile(const Request &req,
 
         driver::ArtifactOptions aopts;
         aopts.tier = tier;
-        aopts.par = par;
-        aopts.parThreads = req.threads;
-        if (opts_.useKernelCache)
-            aopts.cache = &exec::KernelCache::process();
+        aopts.cache = &exec::KernelCache::process();
 
         driver::KernelArtifact artifact =
             driver::compileKernel(pipeline, program, ctx, aopts);
@@ -455,23 +445,27 @@ Server::handleCompile(const Request &req,
         resp.downgraded = artifact.downgraded();
         resp.compileMs = artifact.compileMs();
 
-        // Native tier: retry *transient* compile/load failures with
-        // backoff, then degrade to bytecode. Permanent failures
-        // degrade immediately (see support/retry.hh's table).
+        // Native tier: retry *transient* compile/load failures of
+        // the kernel the run will use (the sequential one, or the
+        // tile team of req.threads) with backoff, then degrade to
+        // bytecode. Permanent failures degrade immediately (see
+        // support/retry.hh's table).
         exec::Tier run_tier = tier;
         unsigned retries = 0;
         if (tier == exec::Tier::Native) {
+            const exec::NativeOptions nopts =
+                exec::nativeTeam(req.threads);
             std::string reason;
             bool transient = false;
-            const exec::NativeKernel *nk =
-                artifact.image->ensureNative(&reason, &transient);
+            const exec::NativeKernel *nk = artifact.image->ensureNative(
+                nopts, &reason, &transient);
             while (!nk && transient &&
                    opts_.nativeRetry.shouldRetry(retries)) {
                 opts_.nativeRetry.backoff(retries);
                 ++retries;
                 ++counters_.retries;
                 transient = false;
-                nk = artifact.image->ensureNative(&reason,
+                nk = artifact.image->ensureNative(nopts, &reason,
                                                   &transient);
             }
             if (!nk) {
@@ -486,8 +480,7 @@ Server::handleCompile(const Request &req,
             fillServiceInputs(*program, buffers);
             exec::ExecOptions eopts;
             eopts.tier = run_tier;
-            eopts.threads = req.threads ? req.threads : 1;
-            eopts.par = par;
+            eopts.threads = req.threads;
             exec::ExecResult result =
                 driver::executeKernel(artifact, buffers, eopts);
             resp.tier = exec::tierName(result.tier);
@@ -497,15 +490,11 @@ Server::handleCompile(const Request &req,
             resp.runMs = result.stats.seconds * 1e3;
             resp.bufferHash = hashBuffers(buffers);
             // The backend that *actually* ran, degradations
-            // applied: "tier[+<par>xN]".
+            // applied: "tier[+parN]".
             resp.backend = exec::tierName(result.tier);
-            if (result.par.threads > 0) {
-                resp.backend += std::string("+") +
-                                exec::parStrategyName(
-                                    result.par.strategy);
+            if (result.par.threads > 0)
                 resp.backend +=
-                    "x" + std::to_string(result.par.threads);
-            }
+                    "+par" + std::to_string(result.par.threads);
         } else {
             resp.tier = exec::tierName(run_tier);
             resp.backend = exec::tierName(run_tier);

@@ -92,9 +92,6 @@ struct ServerOptions
     /** Backoff schedule for transient native-tier failures. */
     RetryPolicy nativeRetry;
 
-    /** Serve artifacts from the process-wide KernelCache. */
-    bool useKernelCache = true;
-
     /** Tuning store to flush on shutdown (optional, not owned). */
     perfmodel::TuneDb *tuneDb = nullptr;
 

@@ -325,6 +325,10 @@ writeNumber(std::string *out, double d)
         *out += "null";
         return;
     }
+    if (d == 0 && std::signbit(d)) {
+        *out += "-0"; // int64_t(d) below would drop the sign
+        return;
+    }
     char buf[32];
     std::to_chars_result r;
     // Integers up to 2^53 as plain digits (not "1e+08"), integral

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,9 +31,9 @@
 #include "perfmodel/tune_db.hh"
 #include "pres/op_cache.hh"
 #include "pres/parser.hh"
+#include "service/server.hh"
 #include "support/logging.hh"
 #include "workloads/conv2d.hh"
-#include "workloads/equake.hh"
 
 namespace polyfuse {
 namespace driver {
@@ -53,18 +54,6 @@ smallParams(const WorkloadSpec &spec)
     p.rows = std::min<int64_t>(p.rows, 48);
     p.cols = std::min<int64_t>(p.cols, 48);
     return p;
-}
-
-void
-fillInputs(const ir::Program &program, exec::Buffers &buffers)
-{
-    if (program.name() == "equake") {
-        workloads::initEquakeInputs(program, buffers, 11);
-        return;
-    }
-    for (size_t t = 0; t < program.tensors().size(); ++t)
-        if (program.tensor(t).kind != ir::TensorKind::Temp)
-            buffers.fillPattern(t, 1000 + t);
 }
 
 /** ExecStats equality, wall-clock excluded. */
@@ -169,65 +158,62 @@ TEST(ProgramFingerprint, DistinguishesEverythingThatChangesCode)
     EXPECT_EQ(fp(fb, exec::Tier::Bytecode), base_fp);
 }
 
-TEST(ProgramFingerprint, BackendParametersKeyTheNativeTier)
-{
-    auto program = smallConv();
-    PipelineOptions base;
-    auto fp = [&](exec::Tier tier, exec::ParStrategy par,
-                  unsigned threads) {
-        return programFingerprint(*program, base, tier, par,
-                                  threads);
-    };
-
-    // The tile-team shape is baked into a parallel native TU:
-    // strategy-on/off and team size must each change the key.
-    auto native_seq = fp(exec::Tier::Native, exec::ParStrategy::Off,
-                         0);
-    auto native_p2 = fp(exec::Tier::Native,
-                        exec::ParStrategy::Static, 2);
-    auto native_p4 = fp(exec::Tier::Native,
-                        exec::ParStrategy::Static, 4);
-    EXPECT_NE(native_p2, native_seq);
-    EXPECT_NE(native_p4, native_seq);
-    EXPECT_NE(native_p4, native_p2);
-
-    // The bytecode VM's parallel knobs change no emitted code: they
-    // leave the bytecode key alone.
-    auto byte_seq = fp(exec::Tier::Bytecode, exec::ParStrategy::Off,
-                       0);
-    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Static, 4),
-              byte_seq);
-}
-
 TEST(KernelCache, BackendFlipNeverServesTheWrongKernel)
 {
-    // Regression (ISSUE 9): flipping the backend between two cache
-    // lookups of the same program must miss, not serve a kernel
-    // compiled for a different team shape.
+    // The team size is no part of the key: one cached image serves
+    // native, native-par2 and native-par4, each from its own
+    // per-shape slot, so flipping the backend between runs of the
+    // same image never hands out a kernel compiled for another team.
+    if (exec::NativeKernel::parallelToolchain() ==
+        exec::NativeParMode::Seq)
+        GTEST_SKIP() << "no parallel native toolchain on this machine";
     exec::KernelCache cache;
     auto program = smallConv();
     Pipeline pipeline{PipelineOptions{}};
-
-    ArtifactOptions seq;
-    seq.cache = &cache;
-    seq.tier = exec::Tier::Native;
-    auto a = compileKernel(pipeline, program, seq);
-    a = compileKernel(pipeline, program, seq); // self-warm
+    ArtifactOptions aopts;
+    aopts.cache = &cache;
+    aopts.tier = exec::Tier::Native;
+    auto a = compileKernel(pipeline, program, aopts);
     ASSERT_TRUE(a.ok());
 
-    ArtifactOptions par = seq;
-    par.par = exec::ParStrategy::Static;
-    par.parThreads = 2;
-    auto b = compileKernel(pipeline, program, par);
-    ASSERT_TRUE(b.ok());
-    EXPECT_NE(b.fingerprint, a.fingerprint);
-    EXPECT_FALSE(b.fromCache);
+    exec::Buffers ref(*program);
+    service::fillServiceInputs(*program, ref);
+    exec::ExecOptions interp;
+    interp.tier = exec::Tier::Interp;
+    exec::execute(*program, a.image->ast, ref, interp);
 
-    // Same backend again: now it may (and does) hit.
-    auto c = compileKernel(pipeline, program, par);
-    ASSERT_TRUE(c.ok());
-    EXPECT_TRUE(c.fromCache);
-    EXPECT_EQ(c.fingerprint, b.fingerprint);
+    std::set<const exec::NativeKernel *> slots;
+    for (const char *name :
+         {"native", "native-par2", "native-par4", "native-par2",
+          "native"}) {
+        SCOPED_TRACE(name);
+        const exec::BackendSpec *spec = exec::findBackend(name);
+        ASSERT_NE(spec, nullptr);
+        auto b = compileKernel(pipeline, program, aopts);
+        ASSERT_TRUE(b.fromCache);
+        EXPECT_EQ(b.fingerprint, a.fingerprint);
+        EXPECT_EQ(b.image.get(), a.image.get());
+
+        exec::Buffers buf(*program);
+        service::fillServiceInputs(*program, buf);
+        exec::ExecResult r =
+            executeKernel(b, buf, exec::backendOptions(*spec));
+        ASSERT_EQ(r.tier, exec::Tier::Native) << r.fallbackReason;
+        EXPECT_TRUE(r.parFallbackReason.empty())
+            << r.parFallbackReason;
+        EXPECT_EQ(r.par.threads,
+                  spec->threads > 1 ? spec->threads : 0u);
+        EXPECT_TRUE(
+            exec::bufferDeviation(*program, ref, buf).bitIdentical);
+
+        const exec::NativeKernel *k = b.image->ensureNative(
+            exec::nativeTeam(spec->threads), nullptr);
+        ASSERT_NE(k, nullptr);
+        EXPECT_EQ(k->threads(), spec->threads);
+        slots.insert(k);
+    }
+    // One slot per team size, reused when the backend flips back.
+    EXPECT_EQ(slots.size(), 3u);
 }
 
 TEST(KernelCache, WarmCompileSkipsThePipelineEntirely)
@@ -264,8 +250,8 @@ TEST(KernelCache, WarmCompileSkipsThePipelineEntirely)
 
     // And the cached kernel computes the same bits.
     exec::Buffers a(*program), b(*program);
-    fillInputs(*program, a);
-    fillInputs(*program, b);
+    service::fillServiceInputs(*program, a);
+    service::fillServiceInputs(*program, b);
     auto ra = executeKernel(cold, a);
     auto rb = executeKernel(warm, b);
     expectSameStats(ra.stats, rb.stats);
@@ -308,9 +294,9 @@ TEST(KernelCache, RegistryWideDifferentialSweep)
             EXPECT_EQ(warm.stats.passes()[0].name, "KernelCache");
 
             exec::Buffers ba(*program), bb(*program), bc(*program);
-            fillInputs(*program, ba);
-            fillInputs(*program, bb);
-            fillInputs(*program, bc);
+            service::fillServiceInputs(*program, ba);
+            service::fillServiceInputs(*program, bb);
+            service::fillServiceInputs(*program, bc);
             auto ra = executeKernel(plain, ba);
             auto rb = executeKernel(cold, bb);
             auto rc = executeKernel(warm, bc);
@@ -400,7 +386,7 @@ TEST(KernelCache, ConcurrentCompileAndLookupIsSafe)
     for (const auto &p : programs) {
         auto artifact = compileKernel(Pipeline(PipelineOptions{}), p);
         exec::Buffers buf(*p);
-        fillInputs(*p, buf);
+        service::fillServiceInputs(*p, buf);
         executeKernel(artifact, buf);
         std::string bits;
         for (size_t t = 0; t < buf.numTensors(); ++t)
@@ -427,7 +413,7 @@ TEST(KernelCache, ConcurrentCompileAndLookupIsSafe)
                     continue;
                 }
                 exec::Buffers buf(*p);
-                fillInputs(*p, buf);
+                service::fillServiceInputs(*p, buf);
                 executeKernel(artifact, buf);
                 std::string bits;
                 for (size_t ti = 0; ti < buf.numTensors(); ++ti)
@@ -875,7 +861,9 @@ TEST(TuneDb, AutotuneWarmStartsFromTheStore)
 
     auto program = smallConv();
     auto graph = deps::DependenceGraph::compute(*program);
-    auto init = [&](exec::Buffers &b) { fillInputs(*program, b); };
+    auto init = [&](exec::Buffers &b) {
+        service::fillServiceInputs(*program, b);
+    };
     perfmodel::AutotuneOptions opts;
     opts.candidates = {4, 8};
     opts.dims = 2;

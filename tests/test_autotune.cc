@@ -443,6 +443,42 @@ TEST(TuneDbV2, ModelFitAndShapeEntriesRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(TuneDbV2, NegativeZeroCoefficientSurvivesReload)
+{
+    // A fit can land on -0.0; the checksum spells it "-0", so the
+    // file must too, or the calibration fails its own checksum.
+    std::string path =
+        testing::TempDir() + "polyfuse_tunedb_negzero.json";
+    std::remove(path.c_str());
+    for (double tile : {-0.0, 0.0}) {
+        SCOPED_TRACE(tile);
+        perfmodel::ModelFit fit = perfmodel::defaultModelFit();
+        fit.cTile = tile;
+        fit.samples = 7;
+        {
+            perfmodel::TuneDb db(path);
+            db.setModelFit(fit);
+            ASSERT_TRUE(db.save());
+        }
+        std::ifstream f(path);
+        std::ostringstream text;
+        text << f.rdbuf();
+        // +0 keeps the spelling stores already on disk use.
+        EXPECT_NE(text.str().find(std::signbit(tile)
+                                      ? "\"cTile\": -0"
+                                      : "\"cTile\": 0"),
+                  std::string::npos)
+            << text.str();
+        perfmodel::TuneDb db(path);
+        EXPECT_EQ(db.lastLoadDropped(), 0u);
+        perfmodel::ModelFit back;
+        ASSERT_TRUE(db.modelFit(&back));
+        EXPECT_EQ(std::signbit(back.cTile), std::signbit(tile));
+        EXPECT_EQ(back.samples, fit.samples);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TuneDbV2, LoadsVersionOneStoresBackwardCompatibly)
 {
     std::string path =

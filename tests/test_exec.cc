@@ -33,14 +33,16 @@
 #include "support/failpoint.hh"
 #include "support/logging.hh"
 #include "schedule/fusion.hh"
+#include "service/server.hh"
+#include "support/thread_pool.hh"
 #include "workloads/conv2d.hh"
-#include "workloads/equake.hh"
 
 namespace polyfuse {
 namespace exec {
 namespace {
 
 using codegen::GenOptions;
+using service::fillServiceInputs;
 using schedule::FusionPolicy;
 using schedule::ScheduleTree;
 
@@ -327,19 +329,6 @@ smallTiles(const driver::WorkloadSpec &spec)
     return tiles;
 }
 
-void
-initInputs(const ir::Program &p, Buffers &buf)
-{
-    if (p.name() == "equake") {
-        // The indirection inputs (COL, RL) need valid indices.
-        workloads::initEquakeInputs(p, buf, 11);
-        return;
-    }
-    for (size_t t = 0; t < p.tensors().size(); ++t)
-        if (p.tensor(t).kind != ir::TensorKind::Temp)
-            buf.fillPattern(t, 1000 + t);
-}
-
 class TierDifferential
     : public ::testing::TestWithParam<const char *>
 {
@@ -360,7 +349,7 @@ expectBytecodeMatchesInterpreter(const ir::Program &p,
     auto state = driver::Pipeline(popts).run(p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     std::vector<TraceRecord> ref_trace;
     ExecStats ref_stats =
         run(p, state.ast, ref, [&](int space, int64_t off, bool w) {
@@ -370,12 +359,12 @@ expectBytecodeMatchesInterpreter(const ir::Program &p,
     BytecodeKernel kernel = BytecodeKernel::compile(p, state.ast);
     EXPECT_GT(kernel.numInstructions(), 0u);
     Buffers bc(p);
-    initInputs(p, bc);
+    fillServiceInputs(p, bc);
     RecordingSink sink;
     ExecStats bc_stats = kernel.run(bc, sink);
 
     Buffers bc2(p);
-    initInputs(p, bc2);
+    fillServiceInputs(p, bc2);
     ExecStats bc2_stats = kernel.run(bc2);
 
     for (size_t t = 0; t < p.tensors().size(); ++t) {
@@ -439,13 +428,13 @@ TEST_P(TierDifferential, NativeMatchesInterpreterExactly)
     auto state = driver::Pipeline(popts).run(p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     run(p, state.ast, ref);
 
     NativeKernel kernel = NativeKernel::compile(p, state.ast);
     ASSERT_TRUE(kernel.ok()) << kernel.reason();
     Buffers nat(p);
-    initInputs(p, nat);
+    fillServiceInputs(p, nat);
     kernel.run(nat);
     for (size_t t = 0; t < p.tensors().size(); ++t)
         EXPECT_EQ(ref.data(t), nat.data(t))
@@ -453,10 +442,10 @@ TEST_P(TierDifferential, NativeMatchesInterpreterExactly)
 }
 
 // ------------------------------------------------------------------
-// Parallel runtime: every workload x strategy x {static, graph} x
-// {1, 2, 8} threads must be bit-identical to the sequential bytecode
-// run -- buffers and stats. (Test names carry "Parallel" so the TSAN
-// gate in scripts/check.sh can select the multithreaded subset.)
+// Parallel runtime: every workload x strategy x {2, 8} threads must
+// be bit-identical to the sequential bytecode run -- buffers and
+// stats. (Test names carry "Parallel" so the TSAN gate in
+// scripts/check.sh can select the multithreaded subset.)
 // ------------------------------------------------------------------
 
 TEST_P(TierDifferential, ParallelMatchesSequentialExactly)
@@ -473,51 +462,46 @@ TEST_P(TierDifferential, ParallelMatchesSequentialExactly)
         auto state = driver::Pipeline(popts).run(p);
 
         Buffers ref(p);
-        initInputs(p, ref);
+        fillServiceInputs(p, ref);
         ExecOptions seq;
         ExecResult rs = execute(p, state.ast, ref, seq);
-        // A fully parallel band always runs on the team (either
-        // strategy), so its tiles must actually be launched.
+        // A fully parallel band always runs on the team, so its
+        // tiles must actually be launched.
         bool fully_parallel = std::any_of(
             state.tileBands.begin(), state.tileBands.end(),
             [](const deps::TileBandGraph &b) {
                 return b.cls == deps::TileBandClass::FullyParallel;
             });
 
-        for (ParStrategy par : {ParStrategy::Static,
-                                ParStrategy::Graph}) {
-            for (unsigned threads : {1u, 2u, 8u}) {
-                SCOPED_TRACE(std::string(spec->name) + " / " +
-                             driver::strategyName(s) + " / " +
-                             parStrategyName(par) + " x" +
-                             std::to_string(threads));
-                Buffers buf(p);
-                initInputs(p, buf);
-                ExecOptions eo;
-                eo.threads = threads;
-                eo.par = par;
-                eo.tileBands = &state.tileBands;
-                ExecResult rp = execute(p, state.ast, buf, eo);
-                EXPECT_EQ(rp.tier, Tier::Bytecode);
-                EXPECT_TRUE(rp.parFallbackReason.empty())
-                    << rp.parFallbackReason;
-                if (fully_parallel) {
-                    EXPECT_GT(rp.par.regionsParallel, 0u);
-                    EXPECT_GT(rp.par.tilesExecuted, 0u);
-                }
-
-                for (size_t t = 0; t < p.tensors().size(); ++t)
-                    EXPECT_EQ(ref.data(t), buf.data(t))
-                        << "tensor " << p.tensor(t).name;
-                EXPECT_EQ(rs.stats.instances, rp.stats.instances);
-                EXPECT_EQ(rs.stats.instancesParallel,
-                          rp.stats.instancesParallel);
-                EXPECT_EQ(rs.stats.flops, rp.stats.flops);
-                EXPECT_EQ(rs.stats.loads, rp.stats.loads);
-                EXPECT_EQ(rs.stats.stores, rp.stats.stores);
-                EXPECT_EQ(rs.stats.guardFails,
-                          rp.stats.guardFails);
+        for (unsigned threads : {2u, 8u}) {
+            SCOPED_TRACE(std::string(spec->name) + " / " +
+                         driver::strategyName(s) + " x" +
+                         std::to_string(threads));
+            Buffers buf(p);
+            fillServiceInputs(p, buf);
+            ExecOptions eo;
+            eo.threads = threads;
+            eo.tileBands = &state.tileBands;
+            ExecResult rp = execute(p, state.ast, buf, eo);
+            EXPECT_EQ(rp.tier, Tier::Bytecode);
+            EXPECT_TRUE(rp.parFallbackReason.empty())
+                << rp.parFallbackReason;
+            EXPECT_EQ(rp.par.threads, threads);
+            if (fully_parallel) {
+                EXPECT_GT(rp.par.regionsParallel, 0u);
+                EXPECT_GT(rp.par.tilesExecuted, 0u);
             }
+
+            for (size_t t = 0; t < p.tensors().size(); ++t)
+                EXPECT_EQ(ref.data(t), buf.data(t))
+                    << "tensor " << p.tensor(t).name;
+            EXPECT_EQ(rs.stats.instances, rp.stats.instances);
+            EXPECT_EQ(rs.stats.instancesParallel,
+                      rp.stats.instancesParallel);
+            EXPECT_EQ(rs.stats.flops, rp.stats.flops);
+            EXPECT_EQ(rs.stats.loads, rp.stats.loads);
+            EXPECT_EQ(rs.stats.stores, rp.stats.stores);
+            EXPECT_EQ(rs.stats.guardFails, rp.stats.guardFails);
         }
     }
 }
@@ -548,13 +532,12 @@ compileSmall(const char *name, driver::Strategy strategy,
 }
 
 // ------------------------------------------------------------------
-// Backend registry sweep: every registered backend (tier x parallel
-// strategy) on every registry workload under every strategy must
-// produce buffers bit-identical to the Tier-0 interpreter; the
-// measured deviation is the failure message. (Names carry "Backend"
-// so the TSAN gate in scripts/check.sh runs the multithreaded sweep;
-// the registry covers the parallel strategies at two thread counts
-// each.)
+// Backend registry sweep: every registered backend (tier x team
+// size) on every registry workload under every strategy must produce
+// buffers bit-identical to the Tier-0 interpreter; the measured
+// deviation is the failure message. (Names carry "Backend" so the
+// TSAN gate in scripts/check.sh runs the multithreaded sweep; the
+// registry covers each parallel tier at two team sizes.)
 // ------------------------------------------------------------------
 
 class BackendSweep : public ::testing::TestWithParam<const char *>
@@ -576,7 +559,7 @@ TEST_P(BackendSweep, HonorsNumericalContractOnEveryStrategy)
         auto state = driver::Pipeline(popts).run(p);
 
         Buffers ref(p);
-        initInputs(p, ref);
+        fillServiceInputs(p, ref);
         run(p, state.ast, ref);
 
         for (const BackendSpec &b : backendRegistry()) {
@@ -585,7 +568,7 @@ TEST_P(BackendSweep, HonorsNumericalContractOnEveryStrategy)
             SCOPED_TRACE(std::string(spec->name) + " / " +
                          driver::strategyName(s) + " / " + b.name);
             Buffers buf(p);
-            initInputs(p, buf);
+            fillServiceInputs(p, buf);
             ExecOptions eo = backendOptions(b);
             eo.tileBands = &state.tileBands;
             ExecResult r = execute(p, state.ast, buf, eo);
@@ -611,22 +594,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BackendRegistry, LookupAndOptionsRoundTrip)
 {
-    EXPECT_GE(backendRegistry().size(), 9u);
+    // The cube is tier x team size: the interpreter, and bytecode
+    // and native each at 1, 2 and 4 threads.
+    EXPECT_EQ(backendRegistry().size(), 7u);
     const BackendSpec *b = findBackend("bytecode-par4");
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->tier, Tier::Bytecode);
-    EXPECT_EQ(b->par, ParStrategy::Static);
     EXPECT_EQ(b->threads, 4u);
     ExecOptions eo = backendOptions(*b);
     EXPECT_EQ(eo.tier, b->tier);
-    EXPECT_EQ(eo.par, b->par);
     EXPECT_EQ(eo.threads, b->threads);
     EXPECT_EQ(findBackend("no-such-backend"), nullptr);
 
-    // Two thread counts per parallel strategy, so the TSAN gate sees
+    // Two team sizes per parallel tier, so the TSAN gate sees
     // distinct interleavings.
     EXPECT_NE(findBackend("bytecode-par2"), nullptr);
-    EXPECT_NE(findBackend("bytecode-graph2"), nullptr);
     EXPECT_NE(findBackend("native-par2"), nullptr);
     EXPECT_NE(findBackend("native-par4"), nullptr);
 }
@@ -645,13 +627,13 @@ TEST(BackendSimd, FastPathEngagesAndReportsLanes)
     auto state = compileSmall("harris", driver::Strategy::Ours, p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     ExecOptions interp;
     interp.tier = Tier::Interp;
     ExecResult ri = execute(p, state.ast, ref, interp);
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecResult rv = execute(p, state.ast, buf, {});
 
     EXPECT_EQ(rv.tier, Tier::Bytecode);
@@ -674,10 +656,10 @@ TEST(BackendSimd, FastPathEngagesAndReportsLanes)
     auto sstate = compileSmall("seidel", driver::Strategy::MinFuse,
                                sp);
     Buffers sref(sp);
-    initInputs(sp, sref);
+    fillServiceInputs(sp, sref);
     execute(sp, sstate.ast, sref, interp);
     Buffers sbuf(sp);
-    initInputs(sp, sbuf);
+    fillServiceInputs(sp, sbuf);
     execute(sp, sstate.ast, sbuf, {});
     for (size_t t = 0; t < sp.tensors().size(); ++t)
         EXPECT_EQ(sref.data(t), sbuf.data(t))
@@ -692,14 +674,13 @@ TEST(BackendNativePar, ParallelNativeReportsTeamShape)
     auto state = compileSmall("harris", driver::Strategy::Ours, p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     execute(p, state.ast, ref, {});
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.tier = Tier::Native;
-    eo.par = ParStrategy::Static;
     eo.threads = 2;
     eo.tileBands = &state.tileBands;
     ExecResult r = execute(p, state.ast, buf, eo);
@@ -707,7 +688,6 @@ TEST(BackendNativePar, ParallelNativeReportsTeamShape)
     EXPECT_TRUE(r.parFallbackReason.empty())
         << r.parFallbackReason;
     EXPECT_EQ(r.par.threads, 2u);
-    EXPECT_EQ(r.par.strategy, ParStrategy::Static);
     EXPECT_GT(r.par.regionsParallel, 0u);
     for (size_t t = 0; t < p.tensors().size(); ++t)
         EXPECT_EQ(ref.data(t), buf.data(t))
@@ -721,10 +701,9 @@ TEST(BackendNativePar, WithoutBandProofNativeStaysSequential)
     ir::Program p;
     auto state = compileSmall("harris", driver::Strategy::Ours, p);
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.tier = Tier::Native;
-    eo.par = ParStrategy::Static;
     eo.threads = 4;
     eo.tileBands = nullptr; // no independence proof
     ExecResult r = execute(p, state.ast, buf, eo);
@@ -738,8 +717,8 @@ TEST(BackendDeviation, MeasuresUlpAndAbsDeviation)
     ir::Program p;
     compileSmall("conv2d", driver::Strategy::Ours, p);
     Buffers a(p), b(p);
-    initInputs(p, a);
-    initInputs(p, b);
+    fillServiceInputs(p, a);
+    fillServiceInputs(p, b);
     EXPECT_TRUE(bufferDeviation(p, a, b).bitIdentical);
 
     // One lane nudged by one representable step: 1 ulp, tiny abs.
@@ -761,9 +740,11 @@ TEST(BackendDeviation, MeasuresUlpAndAbsDeviation)
 }
 
 // Fast, TSAN-scaled differential: the instrumented parallel bytecode
-// backends (static and graph at 2 and 4 threads; every worker takes
-// lane blocks) against the sequential run, bit-identical, on two
-// workloads with very different tile graphs. The registry-wide
+// backends (2 and 4 threads; every worker takes lane blocks) against
+// the sequential run, bit-identical, on three keys with very
+// different tile graphs: harris/ours and conv2d/ours split
+// independent tiles statically (critical path 1), and seidel/minfuse
+// drains a wavefront DAG through the ready queue. The registry-wide
 // BackendSweep carries the same contract but its native pipeline
 // compiles make it minutes-long under TSAN; this suite is the
 // interleaving coverage the race gate actually runs (check.sh picks
@@ -771,28 +752,35 @@ TEST(BackendDeviation, MeasuresUlpAndAbsDeviation)
 // instantiation prefix deliberately does not match).
 TEST(BackendTsanDifferential, ParallelBackendsStayBitIdentical)
 {
-    for (const char *name : {"harris", "conv2d"}) {
+    const std::pair<const char *, driver::Strategy> keys[] = {
+        {"harris", driver::Strategy::Ours},
+        {"conv2d", driver::Strategy::Ours},
+        {"seidel", driver::Strategy::MinFuse},
+    };
+    for (const auto &[name, strategy] : keys) {
         ir::Program p;
-        auto state = compileSmall(name, driver::Strategy::Ours, p);
+        auto state = compileSmall(name, strategy, p);
 
         Buffers ref(p);
-        initInputs(p, ref);
+        fillServiceInputs(p, ref);
         execute(p, state.ast, ref, {});
 
-        for (const char *bname :
-             {"bytecode-par2", "bytecode-par4", "bytecode-graph2",
-              "bytecode-graph4"}) {
+        for (const char *bname : {"bytecode-par2", "bytecode-par4"}) {
             const BackendSpec *b = findBackend(bname);
             ASSERT_NE(b, nullptr) << bname;
             SCOPED_TRACE(std::string(name) + " / " + bname);
             Buffers buf(p);
-            initInputs(p, buf);
+            fillServiceInputs(p, buf);
             ExecOptions eo = backendOptions(*b);
             eo.tileBands = &state.tileBands;
             ExecResult r = execute(p, state.ast, buf, eo);
             EXPECT_EQ(r.tier, Tier::Bytecode) << r.fallbackReason;
             EXPECT_TRUE(r.parFallbackReason.empty())
                 << r.parFallbackReason;
+            EXPECT_GT(r.par.regionsParallel, 0u);
+            if (strategy == driver::Strategy::MinFuse) {
+                EXPECT_GT(r.par.criticalPath, 1u); // the queue ran
+            }
             for (size_t t = 0; t < p.tensors().size(); ++t)
                 EXPECT_EQ(ref.data(t), buf.data(t))
                     << "tensor " << p.tensor(t).name;
@@ -803,10 +791,10 @@ TEST(BackendTsanDifferential, ParallelBackendsStayBitIdentical)
 TEST(ParallelExec, WavefrontGraphDrainsTheTileDag)
 {
     // seidel's uniform (1,0)/(0,1)/(1,1) dependences make every
-    // rectangular tiling a wavefront. The graph strategy must drain
-    // the whole DAG -- with broken in-degree accounting this test
-    // deadlocks (workers starve with done < n), which the ctest
-    // timeout turns into a failure.
+    // rectangular tiling a wavefront with width, so a team run must
+    // drain the whole DAG through the ready queue -- with broken
+    // in-degree accounting this test deadlocks (workers starve with
+    // done < n), which the ctest timeout turns into a failure.
     ir::Program p;
     auto state =
         compileSmall("seidel", driver::Strategy::MinFuse, p);
@@ -816,14 +804,13 @@ TEST(ParallelExec, WavefrontGraphDrainsTheTileDag)
     ASSERT_FALSE(state.tileBands[0].deltas.empty());
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     execute(p, state.ast, ref, {});
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.threads = 8;
-    eo.par = ParStrategy::Graph;
     eo.tileBands = &state.tileBands;
     ExecResult r = execute(p, state.ast, buf, eo);
     EXPECT_TRUE(r.parFallbackReason.empty())
@@ -835,26 +822,39 @@ TEST(ParallelExec, WavefrontGraphDrainsTheTileDag)
     EXPECT_EQ(ref.data(p.tensorId("A")), buf.data(p.tensorId("A")));
 }
 
-TEST(ParallelExec, StaticKeepsWavefrontBandsSequential)
+TEST(ParallelExec, ChainWavefrontRunsSequentially)
 {
+    // gemver/maxfuse fuses its stages into one wavefront band whose
+    // tile DAG is a chain (critical path == tile count): there is
+    // nothing to overlap, so a team run keeps the region on the
+    // launching thread instead of spinning workers on the queue.
     ir::Program p;
     auto state =
-        compileSmall("seidel", driver::Strategy::MinFuse, p);
+        compileSmall("gemver", driver::Strategy::MaxFuse, p);
+    ASSERT_EQ(state.tileBands.size(), 1u);
+    ASSERT_EQ(state.tileBands[0].cls,
+              deps::TileBandClass::Wavefront);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     execute(p, state.ast, ref, {});
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.threads = 4;
-    eo.par = ParStrategy::Static;
     eo.tileBands = &state.tileBands;
     ExecResult r = execute(p, state.ast, buf, eo);
+    EXPECT_TRUE(r.parFallbackReason.empty())
+        << r.parFallbackReason;
+    EXPECT_EQ(r.par.threads, 4u);
     EXPECT_EQ(r.par.regionsParallel, 0u);
-    EXPECT_GT(r.par.regionsSequential, 0u);
-    EXPECT_EQ(ref.data(p.tensorId("A")), buf.data(p.tensorId("A")));
+    EXPECT_EQ(r.par.regionsSequential, 1u);
+    EXPECT_EQ(r.par.tilesExecuted, 0u);
+    EXPECT_EQ(r.par.waits, 0u);
+    for (size_t t = 0; t < p.tensors().size(); ++t)
+        EXPECT_EQ(ref.data(t), buf.data(t))
+            << "tensor " << p.tensor(t).name;
 }
 
 TEST(ParallelExec, SpawnFailpointDegradesToSequentialParallel)
@@ -866,14 +866,13 @@ TEST(ParallelExec, SpawnFailpointDegradesToSequentialParallel)
         compileSmall("harris", driver::Strategy::Ours, p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     execute(p, state.ast, ref, {});
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.threads = 4;
-    eo.par = ParStrategy::Static;
     eo.tileBands = &state.tileBands;
     ExecResult r = execute(p, state.ast, buf, eo);
     failpoints::clearAll();
@@ -897,14 +896,13 @@ TEST(ParallelExec, TileGraphFailpointDegradesToSequentialParallel)
         compileSmall("seidel", driver::Strategy::MinFuse, p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     execute(p, state.ast, ref, {});
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.threads = 4;
-    eo.par = ParStrategy::Graph;
     eo.tileBands = &state.tileBands;
     ExecResult r = execute(p, state.ast, buf, eo);
     failpoints::clearAll();
@@ -921,17 +919,22 @@ TEST(ParallelExec, ZeroThreadsMeansHardwareCountParallel)
         compileSmall("harris", driver::Strategy::Ours, p);
 
     Buffers ref(p);
-    initInputs(p, ref);
+    fillServiceInputs(p, ref);
     execute(p, state.ast, ref, {});
 
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     ExecOptions eo;
     eo.threads = 0;
-    eo.par = ParStrategy::Static;
     eo.tileBands = &state.tileBands;
     ExecResult r = execute(p, state.ast, buf, eo);
-    EXPECT_GT(r.par.threads, 0u);
+    // 0 resolves to one per hardware thread; on a single-CPU host
+    // that is a team of one, which runs sequentially.
+    const unsigned hw = ThreadPool::defaultThreads();
+    EXPECT_EQ(resolveThreads(0), hw);
+    EXPECT_EQ(r.par.threads, hw > 1 ? hw : 0u);
+    EXPECT_TRUE(r.parFallbackReason.empty())
+        << r.parFallbackReason;
     for (size_t t = 0; t < p.tensors().size(); ++t)
         EXPECT_EQ(ref.data(t), buf.data(t));
 }
@@ -950,13 +953,13 @@ TEST(NativeTier, AllStrategiesMatchOnConv2d)
         SCOPED_TRACE(driver::strategyName(s));
 
         Buffers ref(p);
-        initInputs(p, ref);
+        fillServiceInputs(p, ref);
         run(p, state.ast, ref);
 
         NativeKernel kernel = NativeKernel::compile(p, state.ast);
         ASSERT_TRUE(kernel.ok()) << kernel.reason();
         Buffers nat(p);
-        initInputs(p, nat);
+        fillServiceInputs(p, nat);
         kernel.run(nat);
         for (size_t t = 0; t < p.tensors().size(); ++t)
             EXPECT_EQ(ref.data(t), nat.data(t));
@@ -971,8 +974,8 @@ TEST(Engine, DispatchesAndReportsTier)
         driver::Pipeline(driver::PipelineOptions{}).run(p);
 
     Buffers a(p), b(p);
-    initInputs(p, a);
-    initInputs(p, b);
+    fillServiceInputs(p, a);
+    fillServiceInputs(p, b);
 
     ExecOptions interp;
     interp.tier = Tier::Interp;
@@ -991,7 +994,7 @@ TEST(Engine, DispatchesAndReportsTier)
         void onRecords(const TraceRecord *, size_t) override {}
     } no_op;
     Buffers c(p);
-    initInputs(p, c);
+    fillServiceInputs(p, c);
     ExecOptions nt;
     nt.tier = Tier::Native;
     nt.sink = &no_op;
@@ -1042,8 +1045,8 @@ TEST(Engine, ExecuteOverloadsAgree)
             eo.tileBands = &image.tileBands;
 
             Buffers a(p), b(p);
-            initInputs(p, a);
-            initInputs(p, b);
+            fillServiceInputs(p, a);
+            fillServiceInputs(p, b);
             RecordingSink sa, sb;
             eo.sink = c.sink ? &sa : nullptr;
             ExecResult ra = execute(p, image.ast, a, eo);
@@ -1055,7 +1058,6 @@ TEST(Engine, ExecuteOverloadsAgree)
             EXPECT_EQ(ra.fallbackReason, rb.fallbackReason);
             EXPECT_EQ(ra.parFallbackReason, rb.parFallbackReason);
             EXPECT_EQ(ra.par.threads, rb.par.threads);
-            EXPECT_EQ(ra.par.strategy, rb.par.strategy);
             EXPECT_EQ(ra.par.regionsParallel, rb.par.regionsParallel);
             EXPECT_EQ(ra.par.regionsSequential,
                       rb.par.regionsSequential);
@@ -1129,7 +1131,7 @@ Buffers
 runWithPatternedTemps(const ir::Program &p, const codegen::AstPtr &ast)
 {
     Buffers buf(p);
-    initInputs(p, buf);
+    fillServiceInputs(p, buf);
     for (size_t t = 0; t < p.tensors().size(); ++t)
         if (p.tensor(t).kind == ir::TensorKind::Temp)
             buf.fillPattern(int(t), 7000 + t);
@@ -1207,7 +1209,7 @@ struct ArenaCase
         NativeKernel seq = NativeKernel::compile(p, state.ast);
         EXPECT_TRUE(seq.ok()) << seq.reason();
         ref = std::make_unique<Buffers>(p);
-        initInputs(p, *ref);
+        fillServiceInputs(p, *ref);
         if (seq.ok())
             seq.run(*ref);
     }
@@ -1230,15 +1232,13 @@ TEST(NativeArena, TileTeamsMatchSequentialNative)
         for (unsigned threads : {2u, 4u}) {
             SCOPED_TRACE(std::string(name) + " x" +
                          std::to_string(threads));
-            NativeOptions no;
-            no.par = ParStrategy::Static;
-            no.threads = threads;
+            NativeOptions no = nativeTeam(threads);
             no.tileBands = &c.state.tileBands;
             NativeKernel team = NativeKernel::compile(c.p, c.state.ast, no);
             ASSERT_TRUE(team.ok()) << team.reason();
             EXPECT_GT(team.regionsParallel(), 0u) << team.parReason();
             Buffers buf(c.p);
-            initInputs(c.p, buf);
+            fillServiceInputs(c.p, buf);
             team.run(buf);
             c.expectMatches(buf);
         }
@@ -1256,11 +1256,10 @@ TEST(NativeArenaParallel, BytecodeTeamsMatchSequentialNative)
                          std::to_string(threads));
             ExecOptions eo;
             eo.tier = Tier::Bytecode;
-            eo.par = ParStrategy::Static;
             eo.threads = threads;
             eo.tileBands = &c.state.tileBands;
             Buffers buf(c.p);
-            initInputs(c.p, buf);
+            fillServiceInputs(c.p, buf);
             ExecResult r = execute(c.p, c.state.ast, buf, eo);
             EXPECT_TRUE(r.parFallbackReason.empty())
                 << r.parFallbackReason;
@@ -1306,7 +1305,7 @@ TEST(NativeArenaParallel, ThreadTeamSourceMatchesSequentialNative)
             dlsym(dl, "pf_kernel"));
         ASSERT_NE(fn, nullptr);
         Buffers buf(p);
-        initInputs(p, buf);
+        fillServiceInputs(p, buf);
         std::vector<double *> bufs;
         for (size_t t = 0; t < buf.numTensors(); ++t)
             bufs.push_back(buf.data(int(t)).data());

@@ -16,10 +16,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <glob.h>
 
 #include "driver/batch.hh"
 #include "driver/pipeline.hh"
@@ -625,7 +629,9 @@ TEST_F(Robustness, NativeDlopenFailpointFallsBackToBytecode)
     if (!exec::NativeKernel::toolchainAvailable())
         GTEST_SKIP() << "no C toolchain on this machine";
 
-    ir::Program p = smallConv();
+    // An extent no other test compiles: its emitted source cannot
+    // match a kernel.c that a concurrently running test is building.
+    ir::Program p = workloads::makeConv2D({19, 17, 3, 3});
     PipelineOptions opts;
     opts.strategy = Strategy::Ours;
     opts.tileSizes = {8, 8};
@@ -646,6 +652,21 @@ TEST_F(Robustness, NativeDlopenFailpointFallsBackToBytecode)
     exec::ExecResult r = exec::execute(p, st.ast, buf, eopts);
     EXPECT_EQ(r.tier, exec::Tier::Bytecode);
     EXPECT_FALSE(r.fallbackReason.empty());
+
+    // Both failed builds threw after mkdtemp; neither may leave its
+    // build directory (kernel.c + kernel.so) behind.
+    const std::string source = exec::emitNativeSource(p, st.ast);
+    glob_t found;
+    if (glob("/tmp/pf_native_*/kernel.c", 0, nullptr, &found) == 0) {
+        for (size_t i = 0; i < found.gl_pathc; ++i) {
+            std::ifstream in(found.gl_pathv[i]);
+            std::stringstream text;
+            text << in.rdbuf();
+            EXPECT_NE(text.str(), source)
+                << "leaked " << found.gl_pathv[i];
+        }
+    }
+    globfree(&found);
 
     // Disarmed again, the native tier comes back.
     failpoints::clearAll();
@@ -681,7 +702,6 @@ TEST_F(Robustness, ParSpawnFailpointDegradesToSequentialNative)
     fillInputs(p, buf);
     exec::ExecOptions eopts;
     eopts.tier = exec::Tier::Native;
-    eopts.par = exec::ParStrategy::Static;
     eopts.threads = 2;
     eopts.tileBands = &st.tileBands;
     exec::ExecResult r = exec::execute(p, st.ast, buf, eopts);

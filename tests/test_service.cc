@@ -63,7 +63,6 @@ fullRequest()
     req.run = false;
     req.deadlineMs = 250.5;
     req.threads = 4;
-    req.par = "graph";
     return req;
 }
 
@@ -149,7 +148,6 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     EXPECT_FALSE(got.run);
     EXPECT_DOUBLE_EQ(got.deadlineMs, req.deadlineMs);
     EXPECT_EQ(got.threads, req.threads);
-    EXPECT_EQ(got.par, req.par);
 
     // A defaulted request survives too (tiles stay "not given").
     ASSERT_TRUE(decodeRequest(encodeRequest(bareRequest()), &got, &err))
@@ -226,6 +224,26 @@ TEST(ServiceProtocol, RejectsMalformedAndUnknownShapes)
         "\"simd\": \"on\"}",
         &req, &err));
     EXPECT_NE(err.find("simd"), std::string::npos) << err;
+    // Nor is "par": the thread count alone picks the team, and the
+    // executor picks each region's schedule from its plan.
+    EXPECT_FALSE(decodeRequest(
+        "{\"op\": \"compile\", \"id\": 1, \"workload\": \"conv2d\", "
+        "\"threads\": 2, \"par\": \"static\"}",
+        &req, &err));
+    EXPECT_NE(err.find("par"), std::string::npos) << err;
+    // Every run of N threads starts a team of N: the count is
+    // capped at kMaxThreads.
+    EXPECT_TRUE(decodeRequest(
+        "{\"op\": \"compile\", \"id\": 1, \"workload\": \"conv2d\", "
+        "\"threads\": 64}",
+        &req, &err))
+        << err;
+    EXPECT_EQ(req.threads, kMaxThreads);
+    EXPECT_FALSE(decodeRequest(
+        "{\"op\": \"compile\", \"id\": 1, \"workload\": \"conv2d\", "
+        "\"threads\": 65}",
+        &req, &err));
+    EXPECT_NE(err.find("threads"), std::string::npos) << err;
     // A number JSON forbids (RFC 8259 has no leading '+').
     EXPECT_FALSE(
         decodeRequest("{\"op\": \"ping\", \"id\": +1}", &req, &err));
@@ -527,9 +545,6 @@ class ServiceTest : public ::testing::Test
         exec::Tier tier;
         if (!exec::parseTier(req.tier, &tier))
             return "<unknown tier>";
-        exec::ParStrategy par;
-        if (!exec::parseParStrategy(req.par, &par))
-            return "<unknown par>";
         driver::WorkloadParams params = spec->defaults;
         if (req.rows > 0)
             params.rows = req.rows;
@@ -548,8 +563,7 @@ class ServiceTest : public ::testing::Test
         fillServiceInputs(*program, buffers);
         exec::ExecOptions eopts;
         eopts.tier = tier;
-        eopts.threads = req.threads ? req.threads : 1;
-        eopts.par = par;
+        eopts.threads = req.threads;
         driver::executeKernel(artifact, buffers, eopts);
         return hashBuffers(buffers);
     }
@@ -1060,10 +1074,15 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
             poisoned.tier = "native";
         } else if (cs.expect == OkDegradedPar) {
             poisoned.threads = 2;
-            poisoned.par =
-                std::strcmp(cs.site, "exec.par.tilegraph") == 0
-                    ? "graph"
-                    : "static";
+            // The tile-graph site plans wavefront bands only:
+            // seidel/minfuse at 32x32 with 5x6 tiles is a 42-tile
+            // DAG with critical path 12, which a clean run drains
+            // through the ready queue.
+            if (std::strcmp(cs.site, "exec.par.tilegraph") == 0) {
+                poisoned.workload = "seidel";
+                poisoned.strategy = "minfuse";
+                poisoned.tiles = {5, 6};
+            }
         }
 
         ASSERT_TRUE(c.call(poisoned, &resp, &err))
@@ -1099,9 +1118,17 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
         case OkDegradedPar: {
             ASSERT_TRUE(resp.ok) << cs.site << ": " << resp.message;
             // Degraded parallel planning means a sequential run.
+            EXPECT_EQ(resp.backend, "bytecode") << cs.site;
             Request ref = poisoned;
-            ref.par = "off";
             ref.threads = 1;
+            EXPECT_EQ(resp.bufferHash, directHash(ref)) << cs.site;
+            // Disarmed, the same request runs on the team.
+            Request clean = poisoned;
+            clean.id = ++id;
+            ASSERT_TRUE(c.call(clean, &resp, &err))
+                << cs.site << ": " << err;
+            ASSERT_TRUE(resp.ok) << cs.site << ": " << resp.message;
+            EXPECT_EQ(resp.backend, "bytecode+par2") << cs.site;
             EXPECT_EQ(resp.bufferHash, directHash(ref)) << cs.site;
             break;
         }

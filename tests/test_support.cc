@@ -246,6 +246,19 @@ TEST(JsonWriter, NumbersAreWrittenExactly)
     }
 }
 
+TEST(JsonWriter, NegativeZeroKeepsItsSign)
+{
+    // "-0" is an RFC 8259 number, so parse(dump(d)) returns every
+    // finite double bit for bit, the sign of zero included.
+    EXPECT_EQ(json::dump(-0.0), "-0");
+    EXPECT_EQ(json::dump(0.0), "0");
+    for (double d : {-0.0, 0.0}) {
+        json::Value back;
+        ASSERT_TRUE(json::parse(json::dump(d), &back));
+        EXPECT_EQ(std::signbit(back.number), std::signbit(d));
+    }
+}
+
 TEST(JsonReader, RefusesNumbersADoubleCannotHold)
 {
     json::Value v;
