@@ -73,14 +73,15 @@ ubsan_supported() { sanitizer_supported -fsanitize=undefined; }
 # covers the bytecode-par2/par4 backends on two static-split keys and
 # on seidel/minfuse, whose wavefront DAG drains through the ready
 # queue, with every worker running the lane blocks, and the
-# parallel-native ladder;
+# parallel-native ladder, whose only tile team is the OpenMP one;
 # the registry-wide BackendSweep stays out, its pipeline compiles
 # would blow the gate's budget under TSAN) -- and in the sharded
 # KernelCache (the KernelCache subset of test_artifact hammers
-# compile/lookup from 8 threads) -- and in the compile service's
-# accept/reader/worker/drain machinery (the whole of test_service
-# runs a live daemon with concurrent clients) -- show up here as
-# hard failures.
+# compile/lookup from 8 threads and flips one image between its
+# sequential and OpenMP-team native slots) -- and in the compile
+# service's accept/reader/worker/drain machinery (the whole of
+# test_service runs a live daemon with concurrent clients) -- show
+# up here as hard failures.
 tsan_build_and_run() {
     echo "== configure + build with -fsanitize=thread =="
     cmake -B "$src/build-tsan" -S "$src" -DPOLYFUSE_TSAN=ON

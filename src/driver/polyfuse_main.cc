@@ -16,12 +16,15 @@
  * merged JSON object with `--emit json`).
  */
 
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "deps/dependences.hh"
@@ -137,6 +140,42 @@ usage(FILE *to)
         "  --list                list registered workloads\n"
         "  --help                this text\n");
 }
+
+/**
+ * The value of numeric flag @p flag: all of @p text as an integer
+ * (T = int64_t) or a real number (T = double) in [lo, hi]. Anything
+ * else prints `polyfuse: bad <flag> '<text>'` and exits 2.
+ */
+template <typename T>
+T
+numericFlag(const std::string &flag, const char *text, T lo, T hi)
+{
+    static_assert(std::is_same_v<T, int64_t> || std::is_same_v<T, double>);
+    char *end = nullptr;
+    errno = 0;
+    T v;
+    if constexpr (std::is_same_v<T, double>)
+        v = std::strtod(text, &end);
+    else
+        v = std::strtoll(text, &end, 10);
+    // !(v >= lo) also refuses NaN.
+    if (end == text || *end != '\0' || errno == ERANGE || !(v >= lo) ||
+        v > hi) {
+        std::fprintf(stderr, "polyfuse: bad %s '%s'\n", flag.c_str(),
+                     text);
+        std::exit(2);
+    }
+    return v;
+}
+
+/** Bounds of the numeric flags. */
+constexpr int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr int64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+/** Workload extents: the compile service's decode range. */
+constexpr int64_t kMaxExtent = int64_t(1) << 24;
+/** The smallest positive double: a bound for "more than 0 ms". */
+constexpr double kPositiveMs = std::numeric_limits<double>::denorm_min();
+constexpr double kForever = std::numeric_limits<double>::infinity();
 
 bool
 parseTiles(const std::string &arg, std::vector<int64_t> &out)
@@ -295,14 +334,8 @@ main(int argc, char **argv)
         } else if (arg == "--all") {
             all = true;
         } else if (arg == "--jobs") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n < 0) {
-                std::fprintf(stderr, "polyfuse: bad --jobs '%s'\n",
-                             v);
-                return 2;
-            }
+            const int64_t n =
+                numericFlag<int64_t>(arg, value(i), 0, kMaxUnsigned);
             jobsN = n == 0
                         ? polyfuse::ThreadPool::defaultThreads()
                         : unsigned(n);
@@ -326,36 +359,24 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--parallelism") {
-            opts.targetParallelism = std::atoi(value(i));
+            opts.targetParallelism = unsigned(
+                numericFlag<int64_t>(arg, value(i), 0, kMaxUnsigned));
         } else if (arg == "--rows") {
-            params.rows = std::atoll(value(i));
+            params.rows =
+                numericFlag<int64_t>(arg, value(i), 1, kMaxExtent);
             rows_given = true;
         } else if (arg == "--cols") {
-            params.cols = std::atoll(value(i));
+            params.cols =
+                numericFlag<int64_t>(arg, value(i), 1, kMaxExtent);
             cols_given = true;
         } else if (arg == "--no-promote") {
             opts.gen.promoteIntermediates = false;
         } else if (arg == "--timeout-ms") {
-            char *end = nullptr;
-            const char *v = value(i);
-            double ms = std::strtod(v, &end);
-            if (!end || *end != '\0' || ms <= 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --timeout-ms '%s'\n", v);
-                return 2;
-            }
-            timeout_ms = ms;
+            timeout_ms = numericFlag<double>(arg, value(i), kPositiveMs,
+                                             kForever);
         } else if (arg == "--budget-elims") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long long n = std::strtoll(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --budget-elims '%s'\n",
-                             v);
-                return 2;
-            }
-            budget_elims = uint64_t(n);
+            budget_elims = uint64_t(
+                numericFlag<int64_t>(arg, value(i), 1, kMaxInt64));
         } else if (arg == "--no-fallback") {
             opts.budgetFallback = false;
         } else if (arg == "--strict") {
@@ -383,39 +404,18 @@ main(int argc, char **argv)
             tier = exec::Tier::Native;
             do_run = true;
         } else if (arg == "--threads") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n < 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --threads '%s'\n", v);
-                return 2;
-            }
-            run_threads = unsigned(n);
+            run_threads = unsigned(
+                numericFlag<int64_t>(arg, value(i), 0, kMaxUnsigned));
             do_run = true;
         } else if (arg == "--cache") {
             use_cache = true;
         } else if (arg == "--cache-bytes") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long long n = std::strtoll(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --cache-bytes '%s'\n", v);
-                return 2;
-            }
-            cache_bytes = uint64_t(n);
+            cache_bytes = uint64_t(
+                numericFlag<int64_t>(arg, value(i), 1, kMaxInt64));
             use_cache = true;
         } else if (arg == "--repeat") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0) {
-                std::fprintf(stderr, "polyfuse: bad --repeat '%s'\n",
-                             v);
-                return 2;
-            }
-            repeatN = unsigned(n);
+            repeatN = unsigned(
+                numericFlag<int64_t>(arg, value(i), 1, kMaxUnsigned));
         } else if (arg == "--autotune") {
             do_autotune = true;
         } else if (arg == "--search") {
@@ -428,16 +428,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (arg == "--search-top-k") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --search-top-k '%s'\n",
-                             v);
-                return 2;
-            }
-            search_top_k = unsigned(n);
+            search_top_k = unsigned(
+                numericFlag<int64_t>(arg, value(i), 1, kMaxUnsigned));
         } else if (arg == "--search-report") {
             search_report = true;
         } else if (arg == "--tune-db") {
@@ -445,50 +437,18 @@ main(int argc, char **argv)
         } else if (arg == "--serve") {
             serve_path = value(i);
         } else if (arg == "--serve-workers") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n < 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --serve-workers '%s'\n",
-                             v);
-                return 2;
-            }
-            serve_workers = unsigned(n);
+            serve_workers = unsigned(
+                numericFlag<int64_t>(arg, value(i), 0, kMaxUnsigned));
         } else if (arg == "--queue-depth") {
-            char *end = nullptr;
-            const char *v = value(i);
-            long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --queue-depth '%s'\n",
-                             v);
-                return 2;
-            }
-            queue_depth = size_t(n);
+            queue_depth = size_t(
+                numericFlag<int64_t>(arg, value(i), 1, kMaxInt64));
         } else if (arg == "--drain-ms") {
-            char *end = nullptr;
-            const char *v = value(i);
-            double ms = std::strtod(v, &end);
-            if (!end || *end != '\0' || ms < 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --drain-ms '%s'\n", v);
-                return 2;
-            }
-            drain_ms = ms;
+            drain_ms = numericFlag<double>(arg, value(i), 0, kForever);
         } else if (arg == "--connect") {
             connect_path = value(i);
         } else if (arg == "--deadline-ms") {
-            char *end = nullptr;
-            const char *v = value(i);
-            double ms = std::strtod(v, &end);
-            if (!end || *end != '\0' || ms <= 0) {
-                std::fprintf(stderr,
-                             "polyfuse: bad --deadline-ms '%s'\n",
-                             v);
-                return 2;
-            }
-            deadline_ms = ms;
+            deadline_ms = numericFlag<double>(arg, value(i), kPositiveMs,
+                                              kForever);
         } else if (arg == "--shutdown") {
             do_shutdown = true;
         } else if (arg == "--emit") {
@@ -651,8 +611,15 @@ main(int argc, char **argv)
     if (!tiles_given)
         opts.tileSizes = spec->defaultTiles;
 
-    auto program =
-        std::make_shared<const ir::Program>(spec->make(params));
+    // A workload refuses parameters it cannot take (bilateral's grid
+    // needs multiples of 8) by throwing.
+    std::shared_ptr<const ir::Program> program;
+    try {
+        program = std::make_shared<const ir::Program>(spec->make(params));
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "polyfuse: %s\n", e.what());
+        return 2;
+    }
 
     auto fill_inputs = [&](exec::Buffers &buffers) {
         service::fillServiceInputs(*program, buffers);
@@ -779,12 +746,12 @@ main(int argc, char **argv)
         // run report (the effective tier, fallback reasons, parallel
         // counters) into the one JSON object instead of dropping it.
         if (do_run) {
-            exec::Buffers buffers(*program);
-            fill_inputs(buffers);
             exec::ExecOptions eopts;
             eopts.tier = tier;
             eopts.threads = run_threads;
             try {
+                exec::Buffers buffers(*program);
+                fill_inputs(buffers);
                 result =
                     driver::executeKernel(artifact, buffers, eopts);
                 ran = true;

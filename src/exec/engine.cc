@@ -59,6 +59,8 @@ execute(const ir::Program &program, const codegen::AstPtr &ast,
 
     ExecResult result;
     result.tier = Tier::Interp;
+    if (resolveThreads(options.threads) > 1)
+        result.parFallbackReason = "the interpreter runs sequentially";
     if (!options.sink) {
         result.stats = run(program, ast, buffers);
         return result;

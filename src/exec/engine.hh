@@ -58,9 +58,11 @@ bool parseTier(const std::string &text, Tier *out);
  *               DAG's critical path is shorter than its tile count,
  *               and runs sequentially when the DAG is a chain; serial
  *               bands stay sequential.
- *   native   -- fully-parallel top-level tile bands run on a tile
- *               team compiled into the kernel; every other band
- *               stays sequential.
+ *   native   -- fully-parallel top-level tile bands run on an OpenMP
+ *               tile team compiled into the kernel; every other band
+ *               stays sequential (see planNativeTeam in native.hh).
+ *   interp   -- no team: a team request runs sequentially and says
+ *               so in ExecResult::parFallbackReason.
  *
  * Parallel runs are bit-identical to sequential runs: tiles of a
  * fully-parallel band write disjoint footprints, and the wavefront

@@ -18,33 +18,38 @@ const NativeKernel *
 KernelImage::ensureNative(const NativeOptions &options,
                           std::string *reason, bool *transient) const
 {
-    const bool parallel = options.par != ParStrategy::Off;
-    const unsigned nt = parallel ? resolveThreads(options.threads) : 1;
+    NativeOptions nopts = options;
+    if (!nopts.tileBands)
+        nopts.tileBands = &tileBands;
+    const NativeTeamPlan plan = planNativeTeam(ast, nopts);
+    // The sequential slot compiles the plain sequential kernel,
+    // whichever request fills it first.
+    if (plan.threads > 1)
+        nopts.threads = plan.threads;
+    else
+        nopts = NativeOptions{};
     std::lock_guard<std::mutex> lock(nativeMu_);
     NativeSlot *slot = nullptr;
     for (auto &s : nativeSlots_)
-        if (s->parallel == parallel && s->threads == nt)
+        if (s->threads == plan.threads)
             slot = s.get();
     if (!slot) {
-        auto fresh = std::make_unique<NativeSlot>();
-        fresh->parallel = parallel;
-        fresh->threads = nt;
-        nativeSlots_.push_back(std::move(fresh));
+        nativeSlots_.push_back(std::make_unique<NativeSlot>());
         slot = nativeSlots_.back().get();
+        slot->threads = plan.threads;
     }
     if (!slot->tried) {
-        NativeOptions nopts = options;
-        nopts.threads = nt;
-        if (!nopts.tileBands)
-            nopts.tileBands = &tileBands;
         slot->kernel = NativeKernel::compile(*program, ast, nopts);
         // Memoize success and permanent failure; a transient failure
         // stays un-memoized so a retrying caller gets a fresh
         // attempt instead of the stale verdict.
         slot->tried = slot->kernel.ok() || !slot->kernel.transient();
     }
-    if (slot->kernel.ok())
+    if (slot->kernel.ok()) {
+        if (reason)
+            *reason = plan.reason;
         return &slot->kernel;
+    }
     if (reason)
         *reason = slot->kernel.reason();
     if (transient)
@@ -127,17 +132,15 @@ execute(const KernelImage &image, Buffers &buffers,
                 par_reason = e.what();
             }
             if (planned) {
+                // The team kernel, or the sequential one with the
+                // reason when the team plan runs sequentially.
                 NativeOptions nopts = nativeTeam(team);
                 nopts.tileBands = options.tileBands;
                 kernel = image.ensureNative(nopts, &par_reason);
             }
-            if (!kernel) {
+            if (!kernel)
                 kernel = image.ensureNative(&reason);
-                if (kernel)
-                    result.parFallbackReason = par_reason;
-            } else if (kernel->parMode() == NativeParMode::Seq) {
-                result.parFallbackReason = kernel->parReason();
-            } else {
+            if (kernel && kernel->threads() > 1) {
                 result.par.threads = kernel->threads();
                 result.par.regionsParallel =
                     kernel->regionsParallel();
@@ -145,6 +148,8 @@ execute(const KernelImage &image, Buffers &buffers,
                     kernel->regionsSequential();
                 result.par.criticalPath =
                     kernel->regionsParallel() ? 1 : 0;
+            } else if (kernel) {
+                result.parFallbackReason = par_reason;
             }
         } else {
             kernel = image.ensureNative(&reason);

@@ -73,22 +73,23 @@ struct KernelImage
         const;
 
     /**
-     * The native kernel compiled for @p options' backend shape
-     * (sequential vs tile-team, and the resolved team size). Each
-     * distinct shape memoizes in its own slot, so a warm image can
-     * never serve a kernel compiled for a different backend.
-     * options.tileBands defaults to the image's own classifications.
+     * The native kernel of the tile team planNativeTeam gives
+     * @p options (options.tileBands defaults to the image's own
+     * classifications). Each team size memoizes in its own slot, so a
+     * warm image can never serve a kernel compiled for a different
+     * team; a request whose plan runs sequentially gets the
+     * sequential kernel, and @p reason says why. On null, @p reason
+     * and @p transient describe the failure as above.
      */
     const NativeKernel *ensureNative(const NativeOptions &options,
                                      std::string *reason,
                                      bool *transient = nullptr) const;
 
   private:
-    /** One memoized native compile per backend shape. */
+    /** One memoized native compile per planned team size. */
     struct NativeSlot
     {
-        bool parallel = false;
-        unsigned threads = 1; ///< resolved team size
+        unsigned threads = 1; ///< planned team size (1: sequential)
         NativeKernel kernel;
         bool tried = false;
     };
@@ -99,10 +100,11 @@ struct KernelImage
     mutable std::vector<std::unique_ptr<NativeSlot>> nativeSlots_;
 };
 
-/** The native kernel shape a run of @p threads uses (the one rule
+/** The native kernel request of a run of @p threads (the one rule
  *  of resolveThreads): the sequential kernel for a team of one, a
  *  static tile team of the resolved size otherwise. The tier ladder
- *  and the compile service's retry loop both ask for this slot. */
+ *  and the compile service's retry loop both pass it to
+ *  ensureNative, so both reach the slot the team plan picks. */
 NativeOptions nativeTeam(unsigned threads);
 
 /** Rough resident-byte estimate of @p image for LRU weighting. */

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include <dlfcn.h>
 #include <unistd.h>
@@ -92,9 +91,9 @@ struct ScratchScope
 class Emitter
 {
   public:
-    Emitter(const Program &p, NativeParMode mode, unsigned threads,
+    Emitter(const Program &p, unsigned threads,
             const std::vector<deps::TileBandGraph> *bands)
-        : prog_(p), mode_(mode), threads_(threads),
+        : prog_(p), threads_(threads),
           par_bands_(fullyParallelBands(bands))
     {
         scratch_.resize(p.tensors().size());
@@ -108,16 +107,9 @@ class Emitter
             << ") -- generated; do not edit */\n"
             << "#include <math.h>\n"
             << "#include <stdint.h>\n"
-            << "#include <stdlib.h>\n";
-        if (mode_ == NativeParMode::Threads)
-            os_ << "#include <thread>\n"
-                << "#include <vector>\n";
-        os_ << "\n" << kHelperPreamble << "\n";
-        // The Threads mode is a C++ TU (std::thread), so the entry
-        // point keeps C linkage for dlsym.
-        if (mode_ == NativeParMode::Threads)
-            os_ << "extern \"C\" ";
-        os_ << "void pf_kernel(double **pf_bufs)\n{\n";
+            << "#include <stdlib.h>\n"
+            << "\n" << kHelperPreamble << "\n"
+            << "void pf_kernel(double **pf_bufs)\n{\n";
         for (const auto &name : prog_.params())
             line(1) << "const int64_t " << name << " = "
                     << prog_.paramValue(name) << ";\n";
@@ -562,8 +554,7 @@ class Emitter
             const std::string &v = var_names_[n->var];
             const bool top_tile =
                 nest_ == 0 && n->tileLoop && n->bandLevel == 0;
-            const bool team = top_tile &&
-                              mode_ != NativeParMode::Seq &&
+            const bool team = top_tile && threads_ > 1 &&
                               par_bands_.count(n->bandId) != 0;
             if (top_tile)
                 ++(team ? regions_parallel_ : regions_sequential_);
@@ -576,10 +567,8 @@ class Emitter
                         << bound(n->ub, false)
                         << ";\n";
             ++nest_;
-            if (team && mode_ == NativeParMode::Omp) {
+            if (team) {
                 emitOmpFor(*n, v, depth);
-            } else if (team) {
-                emitThreadFor(*n, v, depth);
             } else {
                 line(depth) << "for (int64_t " << v << " = " << v
                             << "_lb; " << v << " <= " << v
@@ -624,76 +613,7 @@ class Emitter
         line(depth) << "}\n";
     }
 
-    /**
-     * The generated std::thread tile-team: the loop body becomes a
-     * range lambda; worker t takes the contiguous chunk
-     * [lb + n*t/nt, lb + n*(t+1)/nt - 1] and chunk 0 runs on the
-     * calling thread. A std::thread that fails to spawn degrades
-     * inside the kernel: the catch keeps the chunks that did spawn,
-     * and the unspawned remainder runs sequentially on the calling
-     * thread, so the buffers never depend on how many workers
-     * actually started.
-     */
-    void
-    emitThreadFor(const AstNode &n, const std::string &v,
-                  unsigned depth)
-    {
-        std::string tag = std::to_string(team_id_++);
-        std::string cnt = "pf_n_" + tag;
-        std::string nt = "pf_nt_" + tag;
-        std::string body = "pf_body_" + tag;
-        std::string team = "pf_team_" + tag;
-        line(depth) << "const int64_t " << cnt << " = " << v
-                    << "_ub - " << v << "_lb + 1;\n";
-        line(depth) << "const auto " << body
-                    << " = [&](int64_t pf_b, int64_t pf_e) {\n";
-        arenaScope(depth + 1, [&] {
-            line(depth + 1) << "for (int64_t " << v << " = pf_b; " << v
-                            << " <= pf_e; ++" << v << ") {\n";
-            for (const auto &c : n.children)
-                visit(c, depth + 2);
-            line(depth + 1) << "}\n";
-        });
-        line(depth) << "};\n";
-        line(depth) << "if (" << cnt << " > 1) {\n";
-        {
-            unsigned d = depth + 1;
-            line(d) << "const int64_t " << nt << " = " << cnt
-                    << " < " << threads_ << " ? " << cnt << " : "
-                    << threads_ << ";\n";
-            line(d) << "std::vector<std::thread> " << team << ";\n";
-            line(d) << team << ".reserve((size_t)" << nt
-                    << " - 1);\n";
-            line(d) << "try {\n";
-            line(d + 1) << "for (int64_t pf_t = 1; pf_t < " << nt
-                        << "; ++pf_t)\n";
-            line(d + 2) << team << ".emplace_back(" << body << ", "
-                        << v << "_lb + " << cnt << " * pf_t / "
-                        << nt << ", " << v << "_lb + " << cnt
-                        << " * (pf_t + 1) / " << nt << " - 1);\n";
-            line(d) << "} catch (...) {\n";
-            line(d + 1) << "/* spawn failed; the unspawned chunks "
-                           "run below on this thread */\n";
-            line(d) << "}\n";
-            line(d) << body << "(" << v << "_lb, " << v << "_lb + "
-                    << cnt << " / " << nt << " - 1);\n";
-            line(d) << "for (int64_t pf_t = (int64_t)" << team
-                    << ".size() + 1; pf_t < " << nt << "; ++pf_t)\n";
-            line(d + 1) << body << "(" << v << "_lb + " << cnt
-                        << " * pf_t / " << nt << ", " << v
-                        << "_lb + " << cnt << " * (pf_t + 1) / "
-                        << nt << " - 1);\n";
-            line(d) << "for (auto &pf_th : " << team
-                    << ") pf_th.join();\n";
-        }
-        line(depth) << "} else if (" << cnt << " == 1) {\n";
-        line(depth + 1) << body << "(" << v << "_lb, " << v
-                        << "_ub);\n";
-        line(depth) << "}\n";
-    }
-
     const Program &prog_;
-    NativeParMode mode_ = NativeParMode::Seq;
     unsigned threads_ = 1;
     std::set<int> par_bands_; ///< fully-parallel band ids
     std::ostringstream os_;
@@ -703,7 +623,6 @@ class Emitter
      *  the tags of the promotions whose arenas it owns. */
     std::vector<std::vector<std::string>> arenas_;
     int scope_id_ = 0;
-    int team_id_ = 0;
     int nest_ = 0; ///< enclosing For/Alloc depth (0: top level)
     unsigned regions_parallel_ = 0;
     unsigned regions_sequential_ = 0;
@@ -734,43 +653,14 @@ compilerPath()
     return path;
 }
 
-/** Compile @p code as @p file_name under @p cmd_prefix into a
- *  throwaway shared object; true when the toolchain handles it. */
-bool
-probeCompile(const std::string &file_name, const std::string &code,
-             const std::string &cmd_prefix)
-{
-    char tmpl[] = "/tmp/pf_probe_XXXXXX";
-    if (!mkdtemp(tmpl))
-        return false;
-    std::string dir = tmpl;
-    std::string src = dir + "/" + file_name;
-    std::string out = dir + "/probe.so";
-    bool ok = false;
-    {
-        std::ofstream f(src);
-        f << code;
-        ok = bool(f);
-    }
-    if (ok) {
-        std::string cmd = cmd_prefix + " -o " + out + " " + src +
-                          " > /dev/null 2>&1";
-        ok = std::system(cmd.c_str()) == 0;
-    }
-    std::remove(src.c_str());
-    std::remove(out.c_str());
-    rmdir(dir.c_str());
-    return ok;
-}
-
-/** One kernel build's mkdtemp directory, source and shared object;
- *  the destructor removes all three. */
+/** One build's mkdtemp directory, C source and shared object (a
+ *  kernel, or the OpenMP probe); the destructor removes all three. */
 struct BuildDir
 {
     std::string dir, src, so;
 
-    BuildDir(const char *created, const char *src_name)
-        : dir(created), src(dir + src_name), so(dir + "/kernel.so")
+    explicit BuildDir(const char *created)
+        : dir(created), src(dir + "/kernel.c"), so(dir + "/kernel.so")
     {
     }
     BuildDir(const BuildDir &) = delete;
@@ -783,65 +673,6 @@ struct BuildDir
         rmdir(dir.c_str());
     }
 };
-
-/** True when the C toolchain accepts *and links* -fopenmp -- the
- *  probe contains a real parallel-for so a clang without libomp
- *  fails here, not in a kernel compile (cached). */
-bool
-ompAvailable()
-{
-    static std::mutex mu;
-    static bool probed = false;
-    static bool ok = false;
-    std::lock_guard<std::mutex> lock(mu);
-    if (probed)
-        return ok;
-    probed = true;
-    const std::string &cc = compilerPath();
-    if (cc.empty())
-        return ok;
-    ok = probeCompile("probe.c",
-                      "#include <omp.h>\n"
-                      "int pf_probe(void)\n{\n"
-                      "  int n = 0;\n"
-                      "#pragma omp parallel for reduction(+ : n)\n"
-                      "  for (int i = 0; i < 4; ++i)\n"
-                      "    n += omp_get_thread_num() + i;\n"
-                      "  return n;\n}\n",
-                      cc + " -O1 -fPIC -shared -fopenmp");
-    return ok;
-}
-
-/** Locate a C++ compiler that builds a std::thread shared object
- *  with -pthread; empty when there is none (cached). */
-const std::string &
-cxxCompilerPath()
-{
-    static std::mutex mu;
-    static bool probed = false;
-    static std::string path;
-    std::lock_guard<std::mutex> lock(mu);
-    if (probed)
-        return path;
-    probed = true;
-    std::vector<std::string> candidates;
-    if (const char *cxx = std::getenv("CXX"))
-        candidates.push_back(cxx);
-    candidates.insert(candidates.end(), {"c++", "g++", "clang++"});
-    const std::string code = "#include <thread>\n"
-                             "extern \"C\" int pf_probe()\n{\n"
-                             "  std::thread t([] {});\n"
-                             "  t.join();\n"
-                             "  return 0;\n}\n";
-    for (const auto &c : candidates) {
-        if (probeCompile("probe.cc", code,
-                         c + " -O1 -fPIC -shared -pthread")) {
-            path = c;
-            break;
-        }
-    }
-    return path;
-}
 
 /** Top-level (not under any For/Alloc) level-0 tile loops whose
  *  band is proven fully parallel -- the loops a tile-team can
@@ -866,14 +697,35 @@ countEligibleRegions(const AstPtr &n, const std::set<int> &par_bands)
 
 } // namespace
 
+NativeTeamPlan
+planNativeTeam(const AstPtr &ast, const NativeOptions &options)
+{
+    NativeTeamPlan plan;
+    if (options.par == ParStrategy::Off)
+        return plan;
+    const std::set<int> par_bands = fullyParallelBands(options.tileBands);
+    const unsigned team = resolveThreads(options.threads);
+    if (par_bands.empty())
+        plan.reason = "no fully-parallel tile bands";
+    else if (countEligibleRegions(ast, par_bands) == 0)
+        plan.reason = "no top-level tile loop of a fully-parallel band";
+    else if (team <= 1)
+        plan.reason = "tile-team of one thread runs sequentially";
+    else if (!NativeKernel::parallelToolchain())
+        plan.reason = "no OpenMP toolchain (cc -fopenmp)";
+    else
+        plan.threads = team;
+    return plan;
+}
+
 std::string
 emitNativeSource(const Program &program, const AstPtr &ast,
-                 NativeParMode mode, unsigned threads,
+                 unsigned threads,
                  const std::vector<deps::TileBandGraph> *bands,
                  unsigned *regions_parallel,
                  unsigned *regions_sequential)
 {
-    Emitter em(program, mode, threads == 0 ? 1 : threads, bands);
+    Emitter em(program, threads, bands);
     std::string code = em.run(ast);
     if (regions_parallel)
         *regions_parallel = em.regionsParallel();
@@ -900,20 +752,41 @@ NativeKernel::toolchainAvailable()
     return !compilerPath().empty();
 }
 
-NativeParMode
+bool
 NativeKernel::parallelToolchain()
 {
-    if (ompAvailable())
-        return NativeParMode::Omp;
-    if (!cxxCompilerPath().empty())
-        return NativeParMode::Threads;
-    return NativeParMode::Seq;
-}
-
-NativeKernel
-NativeKernel::compile(const Program &program, const AstPtr &ast)
-{
-    return compile(program, ast, NativeOptions{});
+    // The probe holds a real parallel-for, so a compiler that takes
+    // the flag but cannot link the runtime (a clang without libomp)
+    // fails here, not in a kernel compile.
+    static std::mutex mu;
+    static bool probed = false;
+    static bool ok = false;
+    std::lock_guard<std::mutex> lock(mu);
+    if (probed)
+        return ok;
+    probed = true;
+    const std::string &cc = compilerPath();
+    char tmpl[] = "/tmp/pf_probe_XXXXXX";
+    if (cc.empty() || !mkdtemp(tmpl))
+        return ok;
+    const BuildDir probe(tmpl);
+    {
+        std::ofstream f(probe.src);
+        f << "#include <omp.h>\n"
+             "int pf_probe(void)\n{\n"
+             "  int n = 0;\n"
+             "#pragma omp parallel for reduction(+ : n)\n"
+             "  for (int i = 0; i < 4; ++i)\n"
+             "    n += omp_get_thread_num() + i;\n"
+             "  return n;\n}\n";
+        if (!f)
+            return ok;
+    }
+    const std::string cmd = cc + " -O1 -fPIC -shared -fopenmp -o " +
+                            probe.so + " " + probe.src +
+                            " > /dev/null 2>&1";
+    ok = std::system(cmd.c_str()) == 0;
+    return ok;
 }
 
 NativeKernel
@@ -921,44 +794,14 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
                       const NativeOptions &options)
 {
     NativeKernel k;
-
-    // Resolve the parallel request to an emission mode *before*
-    // anything is emitted or forked: a degraded request still
-    // compiles (sequentially) with parReason() saying why.
-    NativeParMode mode = NativeParMode::Seq;
-    unsigned nt = 1;
-    if (options.par != ParStrategy::Off) {
-        std::set<int> par_bands =
-            fullyParallelBands(options.tileBands);
-        nt = options.threads ? options.threads
-                             : std::thread::hardware_concurrency();
-        if (nt == 0)
-            nt = 1;
-        if (par_bands.empty()) {
-            k.par_reason_ = "no fully-parallel tile bands";
-        } else if (countEligibleRegions(ast, par_bands) == 0) {
-            k.par_reason_ =
-                "no top-level tile loop of a fully-parallel band";
-        } else if (nt <= 1) {
-            k.par_reason_ = "tile-team of one thread runs "
-                            "sequentially";
-        } else {
-            mode = parallelToolchain();
-            if (mode == NativeParMode::Seq)
-                k.par_reason_ = "no parallel toolchain (neither "
-                                "-fopenmp nor a C++ compiler)";
-        }
-        if (mode == NativeParMode::Seq)
-            nt = 1;
-    }
-    k.par_mode_ = mode;
-    k.threads_ = nt;
+    // The team is decided before anything is emitted or forked; a
+    // request that cannot get one compiles the sequential kernel.
+    k.threads_ = planNativeTeam(ast, options).threads;
+    const bool team = k.threads_ > 1;
 
     try {
         failpoints::hit("exec.native.compile");
-        const std::string &cc = mode == NativeParMode::Threads
-                                    ? cxxCompilerPath()
-                                    : compilerPath();
+        const std::string &cc = compilerPath();
         if (cc.empty()) {
             // Permanent: no toolchain will appear between retries.
             k.reason_ = "no C compiler found (cc/gcc/clang)";
@@ -977,15 +820,13 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
         }
         // Removed on every way out of this block, a throw included;
         // a loaded object stays mapped without its file.
-        const BuildDir build(tmpl, mode == NativeParMode::Threads
-                                       ? "/kernel.cc"
-                                       : "/kernel.c");
+        const BuildDir build(tmpl);
         const std::string &src_path = build.src;
         const std::string &so_path = build.so;
 
         {
             std::ofstream src(src_path);
-            src << emitNativeSource(program, ast, mode, nt,
+            src << emitNativeSource(program, ast, k.threads_,
                                     options.tileBands,
                                     &k.regions_parallel_,
                                     &k.regions_sequential_);
@@ -1000,11 +841,9 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
         // the native kernel must not either (bit-exactness).
         std::string cmd = cc + " -O2 -fPIC -shared" +
                           " -ffp-contract=off";
-        if (mode == NativeParMode::Omp)
+        if (team)
             cmd += " -fopenmp";
         cmd += " -o " + so_path + " " + src_path + " -lm";
-        if (mode == NativeParMode::Threads)
-            cmd += " -pthread";
         cmd += " > /dev/null 2>&1";
         if (std::system(cmd.c_str()) != 0) {
             k.reason_ = "native compile failed (" + cc + ")";
@@ -1021,7 +860,7 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
         // reference) for the life of the process -- bounded by the
         // number of distinct compiled kernels.
         int dl_flags = RTLD_NOW | RTLD_LOCAL;
-        if (mode == NativeParMode::Omp)
+        if (team)
             dl_flags |= RTLD_NODELETE;
         void *dl = dlopen(so_path.c_str(), dl_flags);
         if (!dl) {

@@ -14,6 +14,12 @@
  * evaluates separately (tests/test_exec.cc asserts exact buffer
  * equality when a toolchain is present).
  *
+ * A tile team is the one parallel form of a native kernel: an
+ * OpenMP `parallel` region with a `for schedule(static)` over each
+ * top-level tile loop of a fully-parallel band, built with
+ * `-fopenmp`. Whether a request gets one is decided once, by
+ * planNativeTeam, before anything is emitted or compiled.
+ *
  * Everything degrades gracefully: no compiler on PATH, a failed
  * compile, or a failed dlopen yield a NativeKernel with ok() ==
  * false and a human-readable reason(); exec/engine.hh then falls
@@ -40,42 +46,20 @@
 namespace polyfuse {
 namespace exec {
 
-/**
- * How the emitted translation unit executes top-level tile loops of
- * fully-parallel bands.
- *
- *   Seq     -- strictly sequential C (the classic Tier-2 kernel).
- *   Omp     -- C with a `#pragma omp parallel` team and a
- *              `#pragma omp for schedule(static)` over each eligible
- *              tile loop; needs a toolchain that accepts and links
- *              `-fopenmp`.
- *   Threads -- C++ with a generated std::thread chunked tile-team
- *              per eligible loop (the fallback when OpenMP is
- *              unavailable but a C++ compiler is); a failed thread
- *              spawn degrades *inside the kernel*: already-spawned
- *              chunks are joined and the unspawned remainder runs on
- *              the calling thread, so results never depend on how
- *              many workers actually started.
- */
-enum class NativeParMode
-{
-    Seq,
-    Omp,
-    Threads,
-};
-
 /** How to compile a native kernel beyond the sequential default. */
 struct NativeOptions
 {
-    /** Off emits the sequential kernel; Static gives fully-parallel
-     *  top-level tile bands a tile team (native has no wavefront
-     *  executor, so wavefront/serial bands stay sequential). The
-     *  tier ladder sets it from the thread count (nativeTeam in
-     *  kernel_cache.hh); the field stays for callers that compile
-     *  a team kernel directly (perfbench/hd.cc). */
+    /** Off emits the sequential kernel; Static asks for an OpenMP
+     *  tile team over the fully-parallel top-level tile bands
+     *  (native has no wavefront executor, so wavefront/serial bands
+     *  stay sequential). The tier ladder sets it from the thread
+     *  count (nativeTeam in kernel_cache.hh); the field stays for
+     *  callers that compile a team kernel directly
+     *  (perfbench/hd.cc). */
     ParStrategy par = ParStrategy::Off;
-    /** Tile-team size (0: one per hardware thread). Baked into the
-     *  emitted code, so it is part of the kernel-cache key. */
+    /** Tile-team size (0: one per hardware thread, see
+     *  resolveThreads). Baked into the emitted code, so each size
+     *  has its own kernel-cache slot. */
     unsigned threads = 0;
     /** Band classifications proving tile independence (same
      *  contract as ExecOptions::tileBands); without them every
@@ -83,25 +67,46 @@ struct NativeOptions
     const std::vector<deps::TileBandGraph> *tileBands = nullptr;
 };
 
+/** The tile team a kernel compiled under some NativeOptions gets. */
+struct NativeTeamPlan
+{
+    /** Team size baked into the kernel (1: the sequential kernel). */
+    unsigned threads = 1;
+    /** Why a requested team runs sequentially ("" when the team
+     *  runs as requested, or none was requested). */
+    std::string reason;
+};
+
 /**
- * Emit @p ast as a self-contained translation unit defining
- * `void pf_kernel(double **pf_bufs)` (with C linkage), where
- * `pf_bufs[t]` is the flat buffer of tensor t. Program parameters
- * are folded in as named `const int64_t` constants; scratchpad
- * promotions become lexically scoped views into arenas owned by the
- * kernel call (or, inside a tile-team, by each worker), grown on
- * demand and reused across tiles, filled by a copy-in only when
- * codegen kept it. Each statement's block opens with a comment
- * naming the statement, so statements stay identifiable in the
- * text. With a
- * parallel @p mode, top-level tile loops of bands classified fully
- * parallel in @p bands get a tile-team;
+ * The one decision whether @p options get a tile team over @p ast:
+ * a team of resolveThreads(options.threads) when a team is requested,
+ * some fully-parallel band has a top-level tile loop, the team has
+ * more than one thread and the C toolchain links `-fopenmp`; the
+ * sequential kernel with the first failed condition as the reason
+ * otherwise. NativeKernel::compile emits from it and
+ * KernelImage::ensureNative picks its slot by it, so a request that
+ * cannot get a team reuses the sequential kernel.
+ */
+NativeTeamPlan planNativeTeam(const codegen::AstPtr &ast,
+                              const NativeOptions &options);
+
+/**
+ * Emit @p ast as a self-contained C translation unit defining
+ * `void pf_kernel(double **pf_bufs)`, where `pf_bufs[t]` is the flat
+ * buffer of tensor t. Program parameters are folded in as named
+ * `const int64_t` constants; scratchpad promotions become lexically
+ * scoped views into arenas owned by the kernel call (or, inside a
+ * tile team, by each worker), grown on demand and reused across
+ * tiles, filled by a copy-in only when codegen kept it. Each
+ * statement's block opens with a comment naming the statement, so
+ * statements stay identifiable in the text. With @p threads > 1,
+ * top-level tile loops of bands classified fully parallel in
+ * @p bands get an OpenMP tile team of that size;
  * @p regions_parallel / @p regions_sequential (optional) report how
  * many top-level tile bands were parallelized vs kept sequential.
  */
 std::string emitNativeSource(const ir::Program &program,
                              const codegen::AstPtr &ast,
-                             NativeParMode mode = NativeParMode::Seq,
                              unsigned threads = 1,
                              const std::vector<deps::TileBandGraph>
                                  *bands = nullptr,
@@ -116,25 +121,15 @@ class NativeKernel
     NativeKernel() = default;
 
     /**
-     * Emit, compile and load the kernel. Never throws for missing
-     * toolchain / compile / load problems -- those come back as
-     * ok() == false with reason() set, so callers can fall back.
-     */
-    static NativeKernel compile(const ir::Program &program,
-                                const codegen::AstPtr &ast);
-
-    /**
-     * As above, but honoring @p options: with a tile team
-     * requested, picks the strongest available parallel toolchain
-     * (OpenMP, then generated std::thread, per parallelToolchain())
-     * and emits tile-teams over the fully-parallel top-level bands.
-     * When the request degrades to a sequential kernel -- no
-     * eligible bands, no parallel toolchain -- the kernel still
-     * compiles ok() and parReason() says why it runs sequentially.
+     * Emit, compile and load the kernel, with the tile team
+     * planNativeTeam gives @p options (the sequential kernel by
+     * default). Never throws for missing toolchain / compile / load
+     * problems -- those come back as ok() == false with reason()
+     * set, so callers can fall back.
      */
     static NativeKernel compile(const ir::Program &program,
                                 const codegen::AstPtr &ast,
-                                const NativeOptions &options);
+                                const NativeOptions &options = {});
 
     /** True when the shared object is loaded and runnable. */
     bool ok() const { return handle_ != nullptr; }
@@ -145,14 +140,6 @@ class NativeKernel
     /** True when the failure is worth retrying (see file comment);
      *  meaningless when ok(). */
     bool transient() const { return transient_; }
-
-    /** How the compiled kernel parallelizes (Seq unless a tile team
-     *  was requested, admitted and emitted). */
-    NativeParMode parMode() const { return par_mode_; }
-
-    /** Why a requested tile team came out sequential (""
-     *  when it was emitted, or was never requested). */
-    const std::string &parReason() const { return par_reason_; }
 
     /** Tile-team size baked into the kernel (1 when sequential). */
     unsigned threads() const { return threads_; }
@@ -173,15 +160,9 @@ class NativeKernel
     /** True when a working C compiler is on this machine (cached). */
     static bool toolchainAvailable();
 
-    /**
-     * Which parallel emission mode compile() would pick on this
-     * machine (cached probes): Omp when the C toolchain accepts and
-     * links `-fopenmp`, else Threads when a C++ compiler handles
-     * std::thread with `-pthread`, else Seq. Part of the
-     * kernel-cache fingerprint, so a cache populated under one
-     * toolchain cannot serve another.
-     */
-    static NativeParMode parallelToolchain();
+    /** True when the C toolchain accepts *and links* `-fopenmp`, so
+     *  a kernel can carry a tile team (cached). */
+    static bool parallelToolchain();
 
   private:
     struct Handle; ///< dlopen lifetime; dlclose on destruction
@@ -189,8 +170,6 @@ class NativeKernel
     std::shared_ptr<Handle> handle_;
     std::string reason_ = "not compiled";
     bool transient_ = false;
-    NativeParMode par_mode_ = NativeParMode::Seq;
-    std::string par_reason_;
     unsigned threads_ = 1;
     unsigned regions_parallel_ = 0;
     unsigned regions_sequential_ = 0;

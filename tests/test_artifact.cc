@@ -164,9 +164,8 @@ TEST(KernelCache, BackendFlipNeverServesTheWrongKernel)
     // native, native-par2 and native-par4, each from its own
     // per-shape slot, so flipping the backend between runs of the
     // same image never hands out a kernel compiled for another team.
-    if (exec::NativeKernel::parallelToolchain() ==
-        exec::NativeParMode::Seq)
-        GTEST_SKIP() << "no parallel native toolchain on this machine";
+    if (!exec::NativeKernel::parallelToolchain())
+        GTEST_SKIP() << "no OpenMP toolchain on this machine";
     exec::KernelCache cache;
     auto program = smallConv();
     Pipeline pipeline{PipelineOptions{}};
@@ -214,6 +213,69 @@ TEST(KernelCache, BackendFlipNeverServesTheWrongKernel)
     }
     // One slot per team size, reused when the backend flips back.
     EXPECT_EQ(slots.size(), 3u);
+}
+
+TEST(KernelCache, TeamRequestWithoutATeamReusesTheSequentialKernel)
+{
+    // seidel/minfuse (a wavefront) and conv2d/naive (no tile band)
+    // have no fully-parallel top-level tile band: a team request is
+    // answered from the sequential slot -- one kernel, one cc run --
+    // and the run says why it stayed sequential. harris/ours still
+    // gets a kernel of its own when the toolchain links OpenMP.
+    if (!exec::NativeKernel::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain on this machine";
+    struct Case
+    {
+        const char *workload;
+        Strategy strategy;
+        bool parallelBand;
+    };
+    for (const Case &c : {Case{"seidel", Strategy::MinFuse, false},
+                          Case{"conv2d", Strategy::Naive, false},
+                          Case{"harris", Strategy::Ours, true}}) {
+        SCOPED_TRACE(std::string(c.workload) + "/" +
+                     strategyName(c.strategy));
+        const WorkloadSpec *spec = findWorkload(c.workload);
+        ASSERT_NE(spec, nullptr);
+        auto program = std::make_shared<const ir::Program>(
+            spec->make(smallParams(*spec)));
+        PipelineOptions opts;
+        opts.strategy = c.strategy;
+        opts.tileSizes = spec->defaultTiles;
+        auto art = compileKernel(Pipeline(opts), program);
+        ASSERT_TRUE(art.ok());
+
+        const exec::NativeKernel *seq = art.image->ensureNative();
+        ASSERT_NE(seq, nullptr);
+        std::string reason;
+        const exec::NativeKernel *team =
+            art.image->ensureNative(exec::nativeTeam(4), &reason);
+        ASSERT_NE(team, nullptr) << reason;
+        if (c.parallelBand && exec::NativeKernel::parallelToolchain()) {
+            EXPECT_NE(team, seq);
+            EXPECT_EQ(team->threads(), 4u);
+            EXPECT_TRUE(reason.empty()) << reason;
+            continue;
+        }
+        EXPECT_EQ(team, seq);
+        EXPECT_EQ(team->threads(), 1u);
+        EXPECT_FALSE(reason.empty());
+
+        exec::Buffers ref(*program), buf(*program);
+        service::fillServiceInputs(*program, ref);
+        service::fillServiceInputs(*program, buf);
+        exec::ExecOptions interp;
+        interp.tier = exec::Tier::Interp;
+        exec::execute(*program, art.image->ast, ref, interp);
+        exec::ExecOptions eo;
+        eo.tier = exec::Tier::Native;
+        eo.threads = 4;
+        exec::ExecResult r = executeKernel(art, buf, eo);
+        ASSERT_EQ(r.tier, exec::Tier::Native) << r.fallbackReason;
+        EXPECT_EQ(r.par.threads, 0u);
+        EXPECT_EQ(r.parFallbackReason, reason);
+        expectSameBuffers(ref, buf);
+    }
 }
 
 TEST(KernelCache, WarmCompileSkipsThePipelineEntirely)

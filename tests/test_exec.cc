@@ -12,13 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
-
-#include <dlfcn.h>
-#include <unistd.h>
 
 #include "codegen/generate.hh"
 #include "core/compose.hh"
@@ -668,8 +663,8 @@ TEST(BackendSimd, FastPathEngagesAndReportsLanes)
 
 TEST(BackendNativePar, ParallelNativeReportsTeamShape)
 {
-    if (!NativeKernel::toolchainAvailable())
-        GTEST_SKIP() << "no C toolchain on this machine";
+    if (!NativeKernel::parallelToolchain())
+        GTEST_SKIP() << "no OpenMP toolchain on this machine";
     ir::Program p;
     auto state = compileSmall("harris", driver::Strategy::Ours, p);
 
@@ -1003,6 +998,28 @@ TEST(Engine, DispatchesAndReportsTier)
     EXPECT_FALSE(rn.fallbackReason.empty());
 }
 
+TEST(Engine, InterpreterSaysWhyATeamRunsSequentially)
+{
+    // Every tier answers a team request it cannot honour with a
+    // reason; the interpreter has no team at all.
+    ir::Program p;
+    auto state = compileSmall("conv2d", driver::Strategy::Ours, p);
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        Buffers buf(p);
+        fillServiceInputs(p, buf);
+        ExecOptions eo;
+        eo.tier = Tier::Interp;
+        eo.threads = threads;
+        eo.tileBands = &state.tileBands;
+        ExecResult r = execute(p, state.ast, buf, eo);
+        EXPECT_EQ(r.tier, Tier::Interp);
+        EXPECT_EQ(r.par.threads, 0u);
+        EXPECT_EQ(r.parFallbackReason.empty(), threads == 1)
+            << r.parFallbackReason;
+    }
+}
+
 // The two execute() overloads -- over a bare (program, AST) and over a
 // frozen KernelImage -- must walk the same tier ladder: bit-identical
 // buffers, the same tier and fallback reasons, the same parallel
@@ -1181,14 +1198,14 @@ TEST(Exec, CopyInElisionIsUnobservable)
 }
 
 // ------------------------------------------------------------------
-// Tile-team scratchpad arenas: each OpenMP / std::thread worker and
-// each bytecode worker machine owns its promotions' storage, reused
-// across its tiles. The bytecode and std::thread tests carry
-// "Parallel" so the TSAN gate runs them. The OpenMP test stays out of
-// it: TSAN cannot instrument the compiled kernel, and libgomp's
-// pooled workers synchronize through futexes TSAN does not see, so
-// there it only reports the kernel reading buffers the main thread
-// filled before the region.
+// Tile-team scratchpad arenas: each OpenMP worker of a native team
+// and each bytecode worker machine owns its promotions' storage,
+// reused across its tiles. The bytecode test carries "Parallel" so
+// the TSAN gate runs it. The OpenMP test stays out of it: TSAN
+// cannot instrument the compiled kernel, and libgomp's pooled
+// workers synchronize through futexes TSAN does not see, so there it
+// only reports the kernel reading buffers the main thread filled
+// before the region.
 // ------------------------------------------------------------------
 
 const char *const kImagePipelines[] = {"bilateral", "camera",
@@ -1225,8 +1242,8 @@ struct ArenaCase
 
 TEST(NativeArena, TileTeamsMatchSequentialNative)
 {
-    if (NativeKernel::parallelToolchain() == NativeParMode::Seq)
-        GTEST_SKIP() << "no parallel native toolchain on this machine";
+    if (!NativeKernel::parallelToolchain())
+        GTEST_SKIP() << "no OpenMP toolchain on this machine";
     for (const char *name : kImagePipelines) {
         ArenaCase c(name);
         for (unsigned threads : {2u, 4u}) {
@@ -1236,11 +1253,41 @@ TEST(NativeArena, TileTeamsMatchSequentialNative)
             no.tileBands = &c.state.tileBands;
             NativeKernel team = NativeKernel::compile(c.p, c.state.ast, no);
             ASSERT_TRUE(team.ok()) << team.reason();
-            EXPECT_GT(team.regionsParallel(), 0u) << team.parReason();
+            EXPECT_EQ(team.threads(), threads);
+            EXPECT_GT(team.regionsParallel(), 0u);
             Buffers buf(c.p);
             fillServiceInputs(c.p, buf);
             team.run(buf);
             c.expectMatches(buf);
+        }
+    }
+}
+
+TEST(NativeArena, TileTeamSourceIsWarningFree)
+{
+    // The OpenMP tile-team TU under the flags cli_emit_c_warning_free
+    // holds the sequential TU to.
+    if (!NativeKernel::parallelToolchain())
+        GTEST_SKIP() << "no OpenMP toolchain on this machine";
+    for (const char *name : kImagePipelines) {
+        ir::Program p;
+        auto state = compileSmall(name, driver::Strategy::Ours, p);
+        for (unsigned threads : {2u, 4u}) {
+            SCOPED_TRACE(std::string(name) + " x" +
+                         std::to_string(threads));
+            unsigned parallel = 0;
+            const std::string code = emitNativeSource(
+                p, state.ast, threads, &state.tileBands, &parallel);
+            EXPECT_GT(parallel, 0u);
+            EXPECT_NE(code.find("#pragma omp parallel num_threads(" +
+                                std::to_string(threads) + ")"),
+                      std::string::npos);
+            FILE *cc = popen("cc -fopenmp -Wall -Wextra -Werror "
+                             "-fsyntax-only -x c -",
+                             "w");
+            ASSERT_NE(cc, nullptr);
+            std::fwrite(code.data(), 1, code.size(), cc);
+            EXPECT_EQ(pclose(cc), 0);
         }
     }
 }
@@ -1267,55 +1314,6 @@ TEST(NativeArenaParallel, BytecodeTeamsMatchSequentialNative)
             c.expectMatches(buf);
         }
     }
-}
-
-TEST(NativeArenaParallel, ThreadTeamSourceMatchesSequentialNative)
-{
-    // The std::thread tile-team TU, which NativeKernel only builds
-    // when OpenMP is missing, compiled with the command it uses for
-    // that mode.
-    if (!NativeKernel::toolchainAvailable())
-        GTEST_SKIP() << "no C toolchain on this machine";
-    const char *env = std::getenv("CXX");
-    std::string cxx = env ? env : "c++";
-    if (std::system((cxx + " --version > /dev/null 2>&1").c_str()) != 0)
-        GTEST_SKIP() << "no C++ compiler on this machine";
-    char tmpl[] = "/tmp/pf_threads_XXXXXX";
-    ASSERT_NE(mkdtemp(tmpl), nullptr);
-    const std::string dir = tmpl;
-    for (const char *name : {"camera", "interp"}) {
-        SCOPED_TRACE(name);
-        ArenaCase c(name);
-        const ir::Program &p = c.p;
-        unsigned parallel = 0;
-        const std::string src = dir + "/kernel.cc";
-        const std::string so = dir + "/" + name + ".so";
-        {
-            std::ofstream f(src);
-            f << emitNativeSource(p, c.state.ast, NativeParMode::Threads,
-                                  3, &c.state.tileBands, &parallel);
-        }
-        EXPECT_GT(parallel, 0u);
-        std::string cmd = cxx + " -O2 -fPIC -shared -ffp-contract=off -o " +
-                          so + " " + src + " -lm -pthread";
-        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-        void *dl = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-        ASSERT_NE(dl, nullptr) << dlerror();
-        auto fn = reinterpret_cast<void (*)(double **)>(
-            dlsym(dl, "pf_kernel"));
-        ASSERT_NE(fn, nullptr);
-        Buffers buf(p);
-        fillServiceInputs(p, buf);
-        std::vector<double *> bufs;
-        for (size_t t = 0; t < buf.numTensors(); ++t)
-            bufs.push_back(buf.data(int(t)).data());
-        fn(bufs.data());
-        dlclose(dl);
-        std::remove(src.c_str());
-        std::remove(so.c_str());
-        c.expectMatches(buf);
-    }
-    rmdir(dir.c_str());
 }
 
 TEST(Buffers, PatternIsDeterministicAndBoundsChecked)

@@ -677,8 +677,8 @@ TEST_F(Robustness, NativeDlopenFailpointFallsBackToBytecode)
 
 TEST_F(Robustness, ParSpawnFailpointDegradesToSequentialNative)
 {
-    if (!exec::NativeKernel::toolchainAvailable())
-        GTEST_SKIP() << "no C toolchain on this machine";
+    if (!exec::NativeKernel::parallelToolchain())
+        GTEST_SKIP() << "no OpenMP toolchain on this machine";
 
     ir::Program p = smallHarris();
     PipelineOptions opts;
