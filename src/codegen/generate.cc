@@ -188,27 +188,56 @@ boundsOf(const GenCtx &ctx, const StmtCtx &sc, int var, BoundAlt &lo,
     return BoundStatus::Ok;
 }
 
+/** True when @p a and @p b differ at most in their constant. */
+bool
+twins(const BoundTerm &a, const BoundTerm &b)
+{
+    return a.div == b.div && a.varCoeffs == b.varCoeffs &&
+           a.paramCoeffs == b.paramCoeffs;
+}
+
+/** True when term @p a is never looser than its twin @p b: a larger
+ *  constant for a lower bound (a ceiling-divided max term), a smaller
+ *  one for an upper bound (a floor-divided min term). */
+bool
+tighter(const BoundTerm &a, const BoundTerm &b, bool is_lower)
+{
+    return is_lower ? a.constant >= b.constant : a.constant <= b.constant;
+}
+
 /**
- * Drop repeated terms within each alternative, then every alternative
- * whose term set contains another's (duplicates included, the first
- * kept). A lower bound is the min over alternatives of the max over
- * terms, and a superset's max is never below its subset's, so the
- * superset never wins the min; the upper bound is the mirror image.
- * The bound's value is unchanged.
+ * Keep the tightest of each alternative's twin terms, then drop every
+ * alternative another one dominates (of mutual dominators, the first
+ * stays). An upper bound is the max over alternatives of the min over
+ * terms: when every term of alternative A has a twin in B that is no
+ * looser, B <= A everywhere and B never wins the max. A lower bound
+ * is the mirror image. Term rounding is monotone in the constant, so
+ * the bound's value is unchanged.
  */
 void
-dedupBound(std::vector<BoundAlt> &alts)
+dedupBound(std::vector<BoundAlt> &alts, bool is_lower)
 {
     for (BoundAlt &alt : alts) {
         BoundAlt kept;
-        for (BoundTerm &t : alt)
-            if (std::find(kept.begin(), kept.end(), t) == kept.end())
+        for (BoundTerm &t : alt) {
+            auto twin = std::find_if(
+                kept.begin(), kept.end(),
+                [&](const BoundTerm &k) { return twins(k, t); });
+            if (twin == kept.end())
                 kept.push_back(std::move(t));
+            else if (tighter(t, *twin, is_lower))
+                *twin = std::move(t);
+        }
         alt = std::move(kept);
     }
-    auto subset = [](const BoundAlt &a, const BoundAlt &b) {
+    // Every term of a has a twin in b that is no looser.
+    auto dominated = [is_lower](const BoundAlt &a, const BoundAlt &b) {
         for (const BoundTerm &t : a)
-            if (std::find(b.begin(), b.end(), t) == b.end())
+            if (std::none_of(b.begin(), b.end(),
+                             [&](const BoundTerm &u) {
+                                 return twins(t, u) &&
+                                        tighter(u, t, is_lower);
+                             }))
                 return false;
         return true;
     };
@@ -216,8 +245,8 @@ dedupBound(std::vector<BoundAlt> &alts)
     for (size_t i = 0; i < alts.size(); ++i) {
         bool redundant = false;
         for (size_t j = 0; j < alts.size() && !redundant; ++j)
-            redundant = j != i && subset(alts[j], alts[i]) &&
-                        (j < i || !subset(alts[i], alts[j]));
+            redundant = j != i && dominated(alts[j], alts[i]) &&
+                        (j < i || !dominated(alts[i], alts[j]));
         if (!redundant)
             kept.push_back(alts[i]);
     }
@@ -445,8 +474,8 @@ genBand(const NodePtr &band, GenCtx ctx, const GenOptions &options)
                 bands->pop_back();
             return astBlock();
         }
-        dedupBound(loop->lb);
-        dedupBound(loop->ub);
+        dedupBound(loop->lb, true);
+        dedupBound(loop->ub, false);
         addLoopFacts(ctx, *loop);
 
         if (!outer) {
@@ -914,8 +943,8 @@ genExtension(const NodePtr &node, GenCtx ctx, const GenOptions &options)
         for (unsigned j = 0; j < rank; ++j) {
             if (promo.boxLo[j].empty() || promo.boxHi[j].empty())
                 complete = false;
-            dedupBound(promo.boxLo[j]);
-            dedupBound(promo.boxHi[j]);
+            dedupBound(promo.boxLo[j], true);
+            dedupBound(promo.boxHi[j], false);
         }
         if (!complete)
             continue;

@@ -445,6 +445,10 @@ composeFrom(const Program &program, const DependenceGraph &graph,
                             if (ia == uses[a]->ext.end() ||
                                 ib == uses[b]->ext.end())
                                 continue;
+                            // An over-approximated range (counted
+                            // as pres `inexact`) can only report an
+                            // overlap that is not there: unfusing
+                            // fails safe.
                             Set ra = ia->second.range();
                             Set rb = ib->second.range();
                             if (!ra.intersect(rb).isEmpty())
@@ -556,7 +560,9 @@ composeFrom(const Program &program, const DependenceGraph &graph,
                 program.statement(program.statementId(name));
             // Compare under the concrete parameter values: that is
             // what decides whether the generated code computes fewer
-            // instances than the original loop nest.
+            // instances than the original loop nest. An over-
+            // approximated range (pres `inexact`) can hide an
+            // uncovered point, so dead_code is a lower bound.
             Set covered = it->second.range();
             Set dom = Set(s.domain());
             for (const auto &[pname, pvalue] : program.paramValues()) {

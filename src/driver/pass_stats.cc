@@ -61,9 +61,11 @@ PassStats::str() const
                 cs += "  ";
             cs += name + "=" + std::to_string(value);
         }
-        std::snprintf(line, sizeof(line), "%-12s %10.3f  %s\n",
-                      p.name.c_str(), p.ms, cs.c_str());
-        out += line;
+        // The counters go after the buffer: a long list must not be
+        // cut off, newline and all.
+        std::snprintf(line, sizeof(line), "%-12s %10.3f  ",
+                      p.name.c_str(), p.ms);
+        out += line + cs + "\n";
     }
     std::snprintf(line, sizeof(line), "%-12s %10.3f\n", "total",
                   totalMs());

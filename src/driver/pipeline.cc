@@ -286,6 +286,9 @@ Pipeline::runOnce(const ir::Program &program, CompileContext &ctx,
                 "cache_misses",
                 int64_t(after.cacheMisses - before.cacheMisses));
         }
+        if (after.inexact > before.inexact)
+            ps.counters.emplace_back(
+                "inexact", int64_t(after.inexact - before.inexact));
         if (after.cacheEvictions > before.cacheEvictions)
             ps.counters.emplace_back(
                 "cache_evictions",

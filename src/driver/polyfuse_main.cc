@@ -721,6 +721,7 @@ main(int argc, char **argv)
     driver::KernelArtifact artifact;
     exec::ExecResult result;
     bool ran = false;
+    double build_ms = 0; // native builds, summed over --repeat
     for (unsigned rep = 0; rep < repeatN; ++rep) {
         try {
             artifact =
@@ -754,6 +755,7 @@ main(int argc, char **argv)
                 fill_inputs(buffers);
                 result =
                     driver::executeKernel(artifact, buffers, eopts);
+                build_ms += result.buildMs;
                 ran = true;
             } catch (const std::exception &e) {
                 std::fprintf(stderr, "polyfuse: run failed: %s\n",
@@ -831,6 +833,7 @@ main(int argc, char **argv)
             run.set("tier", exec::tierName(result.tier));
             run.set("fallbackReason", result.fallbackReason);
             run.set("ms", result.stats.seconds * 1e3);
+            run.set("buildMs", build_ms);
             run.set("instances", result.stats.instances);
             run.set("loads", result.stats.loads);
             run.set("stores", result.stats.stores);
@@ -850,6 +853,8 @@ main(int argc, char **argv)
         std::printf("run: tier %s, %.3f ms",
                     exec::tierName(result.tier),
                     result.stats.seconds * 1e3);
+        if (tier == exec::Tier::Native)
+            std::printf(", build %.3f ms", build_ms);
         if (result.tier != exec::Tier::Native)
             std::printf(
                 ", %llu instances, %llu loads, %llu stores",

@@ -31,7 +31,7 @@ buildRegistry()
                    }});
     reg.push_back({"bilateral",
                    "bilateral grid (7 stages)",
-                   {128, 128},
+                   {8, 512},
                    {256, 256},
                    [](const WorkloadParams &p) {
                        return workloads::makeBilateralGrid(
@@ -39,7 +39,7 @@ buildRegistry()
                    }});
     reg.push_back({"camera",
                    "camera pipeline (16 stages)",
-                   {32, 64},
+                   {8, 32},
                    {256, 256},
                    [](const WorkloadParams &p) {
                        return workloads::makeCameraPipeline(
@@ -47,7 +47,7 @@ buildRegistry()
                    }});
     reg.push_back({"harris",
                    "Harris corner detection (11 stages)",
-                   {32, 128},
+                   {16, 512},
                    {256, 256},
                    [](const WorkloadParams &p) {
                        return workloads::makeHarris(imageCfg(p));
@@ -62,7 +62,7 @@ buildRegistry()
                    }});
     reg.push_back({"interp",
                    "multiscale interpolation pyramid",
-                   {32, 64},
+                   {8, 64},
                    {256, 256},
                    [](const WorkloadParams &p) {
                        return workloads::makeMultiscaleInterp(

@@ -33,7 +33,12 @@ struct WorkloadSpec
 {
     const char *name;        ///< CLI spelling
     const char *description; ///< one line for --list
-    std::vector<int64_t> defaultTiles; ///< auto-tuned default
+    /** Default live-out tiles: for the six image pipelines, the
+     *  fastest sequential native `ours` kernel at 1088x1920 in
+     *  interleaved sweeps of the tuner's ladder (kept where no
+     *  candidate beat the old default by more than its spread); the
+     *  modeled auto-tuner's elsewhere. */
+    std::vector<int64_t> defaultTiles;
     WorkloadParams defaults; ///< sizes used when the CLI gives none
     std::function<ir::Program(const WorkloadParams &)> make;
 };

@@ -133,6 +133,10 @@ struct ExecResult
     /** Why a requested tile team degraded to sequential ("" when
      *  it ran as requested). */
     std::string parFallbackReason;
+    /** Wall time this run spent building its native kernel (emit,
+     *  `cc`, `dlopen`, failed attempts included); 0 when the kernel
+     *  was already built or no native tier was asked for. */
+    double buildMs = 0;
 };
 
 /**
@@ -150,9 +154,11 @@ ExecResult execute(const ir::Program &program,
 /**
  * One named point in the backend space (tier x team size).
  * Every registered backend promises buffers bit-identical to the
- * Tier-0 interpreter: the native emitter pins `-ffp-contract=off`,
- * parallel tiles write disjoint footprints in program order, and the
- * bytecode lane blocks apply the exact scalar op sequence per lane.
+ * Tier-0 interpreter: the native compile line pins
+ * `-ffp-contract=off` without fast-math (its vectorizing flags change
+ * no value), parallel tiles write disjoint footprints in program
+ * order, and the bytecode lane blocks apply the exact scalar op
+ * sequence per lane.
  * The differential tests (BackendSweep in tests/test_exec.cc)
  * enforce the contract per workload.
  */

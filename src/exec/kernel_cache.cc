@@ -9,14 +9,16 @@ namespace polyfuse {
 namespace exec {
 
 const NativeKernel *
-KernelImage::ensureNative(std::string *reason, bool *transient) const
+KernelImage::ensureNative(std::string *reason, bool *transient,
+                          double *build_ms) const
 {
-    return ensureNative(NativeOptions{}, reason, transient);
+    return ensureNative(NativeOptions{}, reason, transient, build_ms);
 }
 
 const NativeKernel *
 KernelImage::ensureNative(const NativeOptions &options,
-                          std::string *reason, bool *transient) const
+                          std::string *reason, bool *transient,
+                          double *build_ms) const
 {
     NativeOptions nopts = options;
     if (!nopts.tileBands)
@@ -40,6 +42,8 @@ KernelImage::ensureNative(const NativeOptions &options,
     }
     if (!slot->tried) {
         slot->kernel = NativeKernel::compile(*program, ast, nopts);
+        if (build_ms)
+            *build_ms += slot->kernel.buildMs();
         // Memoize success and permanent failure; a transient failure
         // stays un-memoized so a retrying caller gets a fresh
         // attempt instead of the stale verdict.
@@ -136,10 +140,12 @@ execute(const KernelImage &image, Buffers &buffers,
                 // reason when the team plan runs sequentially.
                 NativeOptions nopts = nativeTeam(team);
                 nopts.tileBands = options.tileBands;
-                kernel = image.ensureNative(nopts, &par_reason);
+                kernel = image.ensureNative(nopts, &par_reason, nullptr,
+                                            &result.buildMs);
             }
             if (!kernel)
-                kernel = image.ensureNative(&reason);
+                kernel = image.ensureNative(&reason, nullptr,
+                                            &result.buildMs);
             if (kernel && kernel->threads() > 1) {
                 result.par.threads = kernel->threads();
                 result.par.regionsParallel =
@@ -152,7 +158,8 @@ execute(const KernelImage &image, Buffers &buffers,
                 result.parFallbackReason = par_reason;
             }
         } else {
-            kernel = image.ensureNative(&reason);
+            kernel = image.ensureNative(&reason, nullptr,
+                                        &result.buildMs);
         }
         if (kernel) {
             result.stats = kernel->run(buffers);

@@ -66,11 +66,14 @@ struct KernelImage
      * compile service's retry-with-backoff -- re-attempts the
      * compile. @return null when the native tier is unavailable,
      * with the reason in @p reason and the transient/permanent
-     * classification in @p transient (each when non-null).
+     * classification in @p transient (each when non-null). Adds the
+     * wall time this call spent building (NativeKernel::buildMs; 0
+     * on a warm slot) to @p build_ms, so a caller that retries sums
+     * what every attempt paid.
      */
     const NativeKernel *ensureNative(std::string *reason = nullptr,
-                                     bool *transient = nullptr)
-        const;
+                                     bool *transient = nullptr,
+                                     double *build_ms = nullptr) const;
 
     /**
      * The native kernel of the tile team planNativeTeam gives
@@ -79,11 +82,13 @@ struct KernelImage
      * warm image can never serve a kernel compiled for a different
      * team; a request whose plan runs sequentially gets the
      * sequential kernel, and @p reason says why. On null, @p reason
-     * and @p transient describe the failure as above.
+     * and @p transient describe the failure as above; @p build_ms
+     * accumulates as above.
      */
     const NativeKernel *ensureNative(const NativeOptions &options,
                                      std::string *reason,
-                                     bool *transient = nullptr) const;
+                                     bool *transient = nullptr,
+                                     double *build_ms = nullptr) const;
 
   private:
     /** One memoized native compile per planned team size. */

@@ -32,6 +32,47 @@ using ir::Statement;
 namespace {
 
 /**
+ * The one compile line of every native kernel (plus `-fopenmp` for a
+ * tile team); the TU's first comment prints it. None of these flags
+ * changes a value:
+ *   -march=native      the process that builds a kernel loads it;
+ *   -ftree-vectorize -fvect-cost-model=dynamic
+ *                      loops with run-time trip counts vectorize
+ *                      behind a scalar epilogue and a run-time alias
+ *                      check (the -O2 "very cheap" model refuses
+ *                      both);
+ *   -fno-math-errno    lets sqrt inline (IEEE-exact either way);
+ *   -ffp-contract=off  the interpreter never fuses a*b+c, so the
+ *                      kernel must not either (bit-exactness).
+ */
+const char *const kCompileFlags =
+    "-O2 -march=native -ftree-vectorize -fvect-cost-model=dynamic "
+    "-fno-math-errno -ffp-contract=off";
+
+/** kCompileFlags, with `-fopenmp` when the kernel has a tile team. */
+std::string
+compileFlags(bool team)
+{
+    return std::string(kCompileFlags) + (team ? " -fopenmp" : "");
+}
+
+/**
+ * The only outside names the TU uses, declared instead of included:
+ * the system headers cost more cc time than the vectorizer does.
+ */
+const char *const kDeclarations =
+    "typedef __INT64_TYPE__ int64_t;\n"
+    "typedef __SIZE_TYPE__ size_t;\n"
+    "double exp(double);\n"
+    "double log(double);\n"
+    "double sqrt(double);\n"
+    "double fabs(double);\n"
+    "double floor(double);\n"
+    "long long llround(double);\n"
+    "void *malloc(size_t);\n"
+    "void free(void *);\n";
+
+/**
  * The helpers every rendered bound relies on. Real functions, not
  * macros: bounds nest pf_min/pf_max tens deep on heavily fused
  * kernels, and a macro doubles the token count per nesting level --
@@ -94,32 +135,54 @@ class Emitter
     Emitter(const Program &p, unsigned threads,
             const std::vector<deps::TileBandGraph> *bands)
         : prog_(p), threads_(threads),
-          par_bands_(fullyParallelBands(bands))
+          par_bands_(fullyParallelBands(bands)),
+          scratch_(p.tensors().size()), touched_(p.tensors().size())
     {
-        scratch_.resize(p.tensors().size());
     }
 
     std::string
     run(const AstPtr &ast)
     {
         collectVarNames(ast);
+        // The nest first, so the signature knows which tensors it
+        // touches.
+        std::ostringstream nest;
+        std::swap(os_, nest);
+        arenaScope(1, [&] { visit(ast, 1); });
+        std::swap(os_, nest);
+
+        const size_t nt = prog_.tensors().size();
         os_ << "/* polyfuse native kernel (" << prog_.name()
-            << ") -- generated; do not edit */\n"
-            << "#include <math.h>\n"
-            << "#include <stdint.h>\n"
-            << "#include <stdlib.h>\n"
-            << "\n" << kHelperPreamble << "\n"
-            << "void pf_kernel(double **pf_bufs)\n{\n";
+            << ") -- generated; do not edit\n"
+            << "   cc " << compileFlags(threads_ > 1) << " */\n"
+            << kDeclarations << "\n" << kHelperPreamble << "\n";
+        // One restrict pointer per tensor: each is its own
+        // allocation (pf_kernel's precondition), which is what lets
+        // the point loops vectorize without alias checks between
+        // tensors.
+        os_ << "static void pf_body(";
+        for (size_t t = 0; t < nt; ++t)
+            os_ << (t ? ",\n                    " : "")
+                << "double *restrict " << tensorPtr(int(t));
+        os_ << ")\n{\n";
         for (const auto &name : prog_.params())
             line(1) << "const int64_t " << name << " = "
                     << prog_.paramValue(name) << ";\n";
         if (!prog_.params().empty())
             os_ << "\n";
-        // Parameters can be unused when codegen folded them away.
+        // Parameters can be unused when codegen folded them away,
+        // and tensors when the nest never reaches them.
         for (const auto &name : prog_.params())
             line(1) << "(void)" << name << ";\n";
-        arenaScope(1, [&] { visit(ast, 1); });
-        os_ << "}\n";
+        for (size_t t = 0; t < nt; ++t)
+            if (!touched_[t])
+                line(1) << "(void)" << tensorPtr(int(t)) << ";\n";
+        os_ << nest.str() << "}\n\n"
+            << "void pf_kernel(double **pf_bufs)\n{\n";
+        line(1) << "pf_body(";
+        for (size_t t = 0; t < nt; ++t)
+            os_ << (t ? ", " : "") << "pf_bufs[" << t << "]";
+        os_ << ");\n}\n";
         return os_.str();
     }
 
@@ -333,13 +396,21 @@ class Emitter
         return s.buf + "[" + off + "]";
     }
 
+    /** The restrict parameter of tensor @p tensor's global buffer. */
+    static std::string
+    tensorPtr(int tensor)
+    {
+        return "pf_t" + std::to_string(tensor);
+    }
+
     /** @p idx into tensor @p tensor's global buffer, Horner over the
      *  tensor extents (the copy-in source, and every access outside
      *  a scratchpad scope). */
     std::string
     globalRef(int tensor, const std::vector<std::string> &idx) const
     {
-        std::string buf = "pf_bufs[" + std::to_string(tensor) + "]";
+        touched_[tensor] = true;
+        std::string buf = tensorPtr(tensor);
         if (idx.empty())
             return buf + "[0]";
         std::string off = "(" + idx[0] + ")";
@@ -626,6 +697,8 @@ class Emitter
     int nest_ = 0; ///< enclosing For/Alloc depth (0: top level)
     unsigned regions_parallel_ = 0;
     unsigned regions_sequential_ = 0;
+    /** Per tensor: the nest reads or writes its global buffer. */
+    mutable std::vector<bool> touched_;
 };
 
 /** Locate a working C compiler once; empty when there is none. */
@@ -793,6 +866,16 @@ NativeKernel
 NativeKernel::compile(const Program &program, const AstPtr &ast,
                       const NativeOptions &options)
 {
+    Timer timer;
+    NativeKernel k = build(program, ast, options);
+    k.build_ms_ = timer.milliseconds();
+    return k;
+}
+
+NativeKernel
+NativeKernel::build(const Program &program, const AstPtr &ast,
+                    const NativeOptions &options)
+{
     NativeKernel k;
     // The team is decided before anything is emitted or forked; a
     // request that cannot get one compiles the sequential kernel.
@@ -837,14 +920,9 @@ NativeKernel::compile(const Program &program, const AstPtr &ast,
             }
         }
 
-        // -ffp-contract=off: the interpreter never fuses a*b+c, so
-        // the native kernel must not either (bit-exactness).
-        std::string cmd = cc + " -O2 -fPIC -shared" +
-                          " -ffp-contract=off";
-        if (team)
-            cmd += " -fopenmp";
-        cmd += " -o " + so_path + " " + src_path + " -lm";
-        cmd += " > /dev/null 2>&1";
+        const std::string cmd = cc + " " + compileFlags(team) +
+                                " -fPIC -shared -o " + so_path + " " +
+                                src_path + " -lm > /dev/null 2>&1";
         if (std::system(cmd.c_str()) != 0) {
             k.reason_ = "native compile failed (" + cc + ")";
             k.transient_ = true;

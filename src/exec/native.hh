@@ -14,6 +14,15 @@
  * evaluates separately (tests/test_exec.cc asserts exact buffer
  * equality when a toolchain is present).
  *
+ * Every kernel compiles with one line, which the TU's first comment
+ * prints: `-O2 -march=native -ftree-vectorize
+ * -fvect-cost-model=dynamic -fno-math-errno -ffp-contract=off`
+ * (`-fopenmp` added for a tile team). The point loops vectorize and
+ * no flag changes a value; `-march=native` is safe because the
+ * process that builds a kernel loads it. The TU includes no system
+ * header, only declarations of the names it uses, and reaches each
+ * tensor through its own `restrict` pointer (see emitNativeSource).
+ *
  * A tile team is the one parallel form of a native kernel: an
  * OpenMP `parallel` region with a `for schedule(static)` over each
  * top-level tile loop of a fully-parallel band, built with
@@ -93,7 +102,12 @@ NativeTeamPlan planNativeTeam(const codegen::AstPtr &ast,
 /**
  * Emit @p ast as a self-contained C translation unit defining
  * `void pf_kernel(double **pf_bufs)`, where `pf_bufs[t]` is the flat
- * buffer of tensor t. Program parameters are folded in as named
+ * buffer of tensor t. pf_kernel forwards each `pf_bufs[t]` to
+ * `static void pf_body(double *restrict pf_t0, ...)`, which holds the
+ * nest. Precondition: no two `pf_bufs[t]` overlap -- each tensor is
+ * its own allocation, as exec::Buffers keeps one std::vector per
+ * tensor (scratchpad arenas are separate mallocs inside the kernel).
+ * Program parameters are folded in as named
  * `const int64_t` constants; scratchpad promotions become lexically
  * scoped views into arenas owned by the kernel call (or, inside a
  * tile team, by each worker), grown on demand and reused across
@@ -141,6 +155,10 @@ class NativeKernel
      *  meaningless when ok(). */
     bool transient() const { return transient_; }
 
+    /** Wall time compile() took: emit, `cc` and `dlopen`, a failed
+     *  attempt included. */
+    double buildMs() const { return build_ms_; }
+
     /** Tile-team size baked into the kernel (1 when sequential). */
     unsigned threads() const { return threads_; }
 
@@ -167,9 +185,15 @@ class NativeKernel
   private:
     struct Handle; ///< dlopen lifetime; dlclose on destruction
 
+    /** compile() without its clock. */
+    static NativeKernel build(const ir::Program &program,
+                              const codegen::AstPtr &ast,
+                              const NativeOptions &options);
+
     std::shared_ptr<Handle> handle_;
     std::string reason_ = "not compiled";
     bool transient_ = false;
+    double build_ms_ = 0;
     unsigned threads_ = 1;
     unsigned regions_parallel_ = 0;
     unsigned regions_sequential_ = 0;

@@ -383,8 +383,11 @@ BasicMap::range() const
     OpCache::Key key;
     if (cache) {
         key = OpCache::makeKey(Op::Range, *this);
-        if (const BasicSet *cached = cache->findSet(ctx, key))
+        if (const BasicSet *cached = cache->findSet(ctx, key)) {
+            if (!cached->wasExact())
+                ++ctx.counters.inexact;
             return *cached;
+        }
     }
     std::vector<Constraint> rows = cons_;
     bool exact = true;
@@ -398,8 +401,10 @@ BasicMap::range() const
         for (auto &r : rows)
             out.addConstraint(r);
         out.exact_ = exact_ && exact;
+        // Counted, not printed: the caller decides whether an
+        // over-approximated range is safe (see core/compose.cc).
         if (!out.exact_)
-            warn("BasicMap::range over-approximated (non-unit FM)");
+            ++ctx.counters.inexact;
     }
     if (cache)
         cache->storeSet(ctx, key, out);

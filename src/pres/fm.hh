@@ -37,9 +37,10 @@ namespace fm {
 /**
  * Cumulative instrumentation of the FM engine, feeding the driver's
  * per-pass reporting: how many columns were projected out and how
- * many constraint rows those projections visited, plus the hash-
- * consed operation cache's hit/miss/eviction totals (zero when no
- * cache is attached). Owned by a PresCtx; callers snapshot
+ * many constraint rows those projections visited, how many
+ * over-approximated ranges callers received, plus the hash-consed
+ * operation cache's hit/miss/eviction totals (zero when no cache is
+ * attached). Owned by a PresCtx; callers snapshot
  * before/after a phase and report the delta.
  */
 struct Counters
@@ -49,6 +50,9 @@ struct Counters
     uint64_t cacheHits = 0;          ///< OpCache lookups satisfied
     uint64_t cacheMisses = 0;        ///< OpCache lookups computed
     uint64_t cacheEvictions = 0;     ///< entries dropped by the cache
+    /** Over-approximated projections handed out (BasicMap::range
+     *  after a non-unit FM step), cache hits included. */
+    uint64_t inexact = 0;
 
     Counters &
     operator+=(const Counters &o)
@@ -58,6 +62,7 @@ struct Counters
         cacheHits += o.cacheHits;
         cacheMisses += o.cacheMisses;
         cacheEvictions += o.cacheEvictions;
+        inexact += o.inexact;
         return *this;
     }
 };

@@ -330,6 +330,7 @@ encodeResponse(const Response &resp)
         r.set("downgraded", resp.downgraded);
         r.set("compileMs", resp.compileMs);
         r.set("runMs", resp.runMs);
+        r.set("buildMs", resp.buildMs);
         r.set("queueMs", resp.queueMs);
         r.set("retries", resp.retries);
         r.set("bufferHash", resp.bufferHash);
@@ -392,11 +393,12 @@ decodeResult(const json::Value &v, Response *resp,
             (key == "fromCache" ? resp->fromCache
                                 : resp->downgraded) = f.boolean;
         } else if (key == "compileMs" || key == "runMs" ||
-                   key == "queueMs") {
+                   key == "buildMs" || key == "queueMs") {
             if (!f.isNumber() || f.number < 0)
                 return fail(error, key + " out of range");
             (key == "compileMs"  ? resp->compileMs
              : key == "runMs"    ? resp->runMs
+             : key == "buildMs"  ? resp->buildMs
                                  : resp->queueMs) = f.number;
         } else if (key == "retries") {
             if (!asUint(f, &u) || u > 1000)

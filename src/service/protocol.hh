@@ -151,6 +151,9 @@ struct Response
     bool downgraded = false;
     double compileMs = 0;
     double runMs = 0;
+    /** Native build (emit, `cc`, `dlopen`) this request paid, its
+     *  retries summed; 0 on a warm kernel or another tier. */
+    double buildMs = 0;
     double queueMs = 0;  ///< admission-to-start wait
     unsigned retries = 0; ///< native-tier retries this request
     std::string bufferHash; ///< 16-hex FNV of every output buffer

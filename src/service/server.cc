@@ -458,7 +458,7 @@ Server::handleCompile(const Request &req,
             std::string reason;
             bool transient = false;
             const exec::NativeKernel *nk = artifact.image->ensureNative(
-                nopts, &reason, &transient);
+                nopts, &reason, &transient, &resp.buildMs);
             while (!nk && transient &&
                    opts_.nativeRetry.shouldRetry(retries)) {
                 opts_.nativeRetry.backoff(retries);
@@ -466,7 +466,8 @@ Server::handleCompile(const Request &req,
                 ++counters_.retries;
                 transient = false;
                 nk = artifact.image->ensureNative(nopts, &reason,
-                                                  &transient);
+                                                  &transient,
+                                                  &resp.buildMs);
             }
             if (!nk) {
                 run_tier = exec::Tier::Bytecode;
@@ -488,6 +489,7 @@ Server::handleCompile(const Request &req,
                 resp.tierFallbackReason.empty())
                 resp.tierFallbackReason = result.fallbackReason;
             resp.runMs = result.stats.seconds * 1e3;
+            resp.buildMs += result.buildMs;
             resp.bufferHash = hashBuffers(buffers);
             // The backend that *actually* ran, degradations
             // applied: "tier[+parN]".

@@ -14,6 +14,7 @@
 
 #include "core/compose.hh"
 #include "driver/pipeline.hh"
+#include "driver/registry.hh"
 #include "exec/native.hh"
 #include "schedule/fusion.hh"
 #include "support/json.hh"
@@ -141,6 +142,25 @@ TEST(DriverStats, ComposeCountersSurfaceInReport)
     std::string text = json::dump(state.stats.json());
     EXPECT_NE(text.find("\"passes\""), std::string::npos);
     EXPECT_NE(text.find("\"Codegen\""), std::string::npos);
+}
+
+TEST(DriverStats, InexactRangesAreCountedNotPrinted)
+{
+    // harris's dead-code report projects extension schedules through
+    // non-unit FM steps: the over-approximations surface as a
+    // Compose counter, in the text table too, and stderr stays
+    // empty.
+    const WorkloadSpec *spec = findWorkload("harris");
+    ASSERT_NE(spec, nullptr);
+    PipelineOptions opts;
+    opts.tileSizes = spec->defaultTiles;
+    ::testing::internal::CaptureStderr();
+    auto state = Pipeline(opts).run(spec->make(spec->defaults));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    const auto *compose = state.stats.find("Compose");
+    ASSERT_NE(compose, nullptr);
+    EXPECT_GE(compose->counter("inexact", 0), 1);
+    EXPECT_NE(state.stats.str().find("inexact="), std::string::npos);
 }
 
 /** Rebuild a PassStats from the object its json() wrote. */

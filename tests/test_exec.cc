@@ -324,6 +324,11 @@ smallTiles(const driver::WorkloadSpec &spec)
     return tiles;
 }
 
+/** The six PolyMage image pipelines of the registry. */
+const char *const kImagePipelines[] = {"bilateral", "camera",
+                                       "harris",    "laplacian",
+                                       "interp",    "unsharp"};
+
 class TierDifferential
     : public ::testing::TestWithParam<const char *>
 {
@@ -408,18 +413,15 @@ TEST_P(TierDifferential, BytecodeMatchesInterpreterExactly)
     }
 }
 
-TEST_P(TierDifferential, NativeMatchesInterpreterExactly)
+/** The sequential native kernel of @p p under @p s and @p tiles
+ *  against the reference interpreter, buffer for buffer. */
+void
+expectNativeMatchesInterpreter(const ir::Program &p, driver::Strategy s,
+                               const std::vector<int64_t> &tiles)
 {
-    if (!NativeKernel::toolchainAvailable())
-        GTEST_SKIP() << "no C toolchain on this machine";
-    const driver::WorkloadSpec *spec =
-        driver::findWorkload(GetParam());
-    ASSERT_NE(spec, nullptr);
-    ir::Program p = spec->make(smallParams(spec->name));
-
     driver::PipelineOptions popts;
-    popts.strategy = driver::Strategy::Ours;
-    popts.tileSizes = smallTiles(*spec);
+    popts.strategy = s;
+    popts.tileSizes = tiles;
     auto state = driver::Pipeline(popts).run(p);
 
     Buffers ref(p);
@@ -434,6 +436,41 @@ TEST_P(TierDifferential, NativeMatchesInterpreterExactly)
     for (size_t t = 0; t < p.tensors().size(); ++t)
         EXPECT_EQ(ref.data(t), nat.data(t))
             << "tensor " << p.tensor(t).name;
+}
+
+TEST_P(TierDifferential, NativeMatchesInterpreterExactly)
+{
+    // The vectorized point loops, their scalar epilogues and their
+    // run-time alias checks: ours at the small size, every strategy
+    // at the odd one (partial tiles, odd trip counts), and the image
+    // pipelines at 64x80 under their unclamped default tiles, where
+    // point loops run many vectors long.
+    if (!NativeKernel::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain on this machine";
+    const driver::WorkloadSpec *spec =
+        driver::findWorkload(GetParam());
+    ASSERT_NE(spec, nullptr);
+    {
+        SCOPED_TRACE("small / ours");
+        expectNativeMatchesInterpreter(spec->make(smallParams(spec->name)),
+                                       driver::Strategy::Ours,
+                                       smallTiles(*spec));
+    }
+    const driver::WorkloadParams odd = oddParams(spec->name);
+    ir::Program p = spec->make(odd);
+    for (driver::Strategy s : driver::allStrategies()) {
+        SCOPED_TRACE(std::to_string(odd.rows) + "x" +
+                     std::to_string(odd.cols) + " / " +
+                     driver::strategyName(s));
+        expectNativeMatchesInterpreter(p, s, smallTiles(*spec));
+    }
+    if (std::find(std::begin(kImagePipelines), std::end(kImagePipelines),
+                  std::string(spec->name)) != std::end(kImagePipelines)) {
+        SCOPED_TRACE("64x80 / ours, default tiles");
+        expectNativeMatchesInterpreter(spec->make({64, 80}),
+                                       driver::Strategy::Ours,
+                                       spec->defaultTiles);
+    }
 }
 
 // ------------------------------------------------------------------
@@ -1208,10 +1245,6 @@ TEST(Exec, CopyInElisionIsUnobservable)
 // before the region.
 // ------------------------------------------------------------------
 
-const char *const kImagePipelines[] = {"bilateral", "camera",
-                                       "harris",    "laplacian",
-                                       "interp",    "unsharp"};
-
 /** @p name under `ours` at a reduced size, and the buffers of its
  *  sequential native run. */
 struct ArenaCase
@@ -1259,6 +1292,46 @@ TEST(NativeArena, TileTeamsMatchSequentialNative)
             fillServiceInputs(c.p, buf);
             team.run(buf);
             c.expectMatches(buf);
+        }
+    }
+}
+
+TEST(NativeSource, RestrictTensorsNoHeaders)
+{
+    // The nest reaches each tensor through its own restrict pointer,
+    // the TU declares what it uses instead of including headers, and
+    // its first comment names the one compile line (-fopenmp added
+    // for a team).
+    const std::string flags =
+        "cc -O2 -march=native -ftree-vectorize "
+        "-fvect-cost-model=dynamic -fno-math-errno -ffp-contract=off";
+    for (const char *name : kImagePipelines) {
+        SCOPED_TRACE(name);
+        ir::Program p;
+        auto state = compileSmall(name, driver::Strategy::Ours, p);
+        for (unsigned threads : {1u, 2u}) {
+            const std::string code =
+                emitNativeSource(p, state.ast, threads, &state.tileBands);
+            EXPECT_EQ(code.find("#include"), std::string::npos);
+            const std::string comment = code.substr(0, code.find("*/"));
+            EXPECT_NE(comment.find(flags), std::string::npos) << comment;
+            EXPECT_EQ(comment.find(" -fopenmp") != std::string::npos,
+                      threads > 1)
+                << comment;
+            size_t restricts = 0;
+            for (size_t at = code.find("*restrict");
+                 at != std::string::npos;
+                 at = code.find("*restrict", at + 1))
+                ++restricts;
+            EXPECT_EQ(restricts, p.tensors().size());
+            for (size_t t = 0; t < p.tensors().size(); ++t)
+                EXPECT_NE(code.find("double *restrict pf_t" +
+                                    std::to_string(t)),
+                          std::string::npos);
+            // Only pf_kernel's forwarding call reads pf_bufs.
+            const size_t kernel = code.find("void pf_kernel(double **");
+            ASSERT_NE(kernel, std::string::npos);
+            EXPECT_GT(code.find("pf_bufs["), kernel);
         }
     }
 }

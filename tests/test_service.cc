@@ -93,6 +93,7 @@ okResponse()
     ok.downgraded = true;
     ok.compileMs = 1.5;
     ok.runMs = 0.25;
+    ok.buildMs = 96.5;
     ok.queueMs = 0.125;
     ok.retries = 2;
     ok.bufferHash = "deadbeefdeadbeef";
@@ -177,6 +178,7 @@ TEST(ServiceProtocol, ResponseRoundTripsOkErrorAndStats)
     EXPECT_TRUE(got.downgraded);
     EXPECT_DOUBLE_EQ(got.compileMs, 1.5);
     EXPECT_DOUBLE_EQ(got.runMs, 0.25);
+    EXPECT_DOUBLE_EQ(got.buildMs, 96.5);
     EXPECT_DOUBLE_EQ(got.queueMs, 0.125);
     EXPECT_EQ(got.retries, 2u);
     EXPECT_EQ(got.bufferHash, "deadbeefdeadbeef");
@@ -1158,6 +1160,38 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
         stats = srv->stats();
     }
     EXPECT_EQ(stats.completed, stats.accepted);
+}
+
+TEST_F(ServiceTest, NativeResponseReportsTheBuildItPaid)
+{
+    // A cold native request answers with what its cc + dlopen cost;
+    // the repeat runs the built kernel and pays nothing, and a
+    // bytecode request builds nothing.
+    if (!exec::NativeKernel::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain on this machine";
+    auto srv = startServer();
+    Client c = connectTo(*srv);
+    std::string err;
+    Response resp;
+
+    Request req = compileReq("conv2d", 1, {8, 8});
+    ASSERT_TRUE(c.call(req, &resp, &err)) << err;
+    ASSERT_TRUE(resp.ok) << resp.message;
+    EXPECT_EQ(resp.tier, "bytecode");
+    EXPECT_EQ(resp.buildMs, 0.0);
+
+    req.tier = "native";
+    for (uint64_t id : {2, 3}) {
+        req.id = id;
+        ASSERT_TRUE(c.call(req, &resp, &err)) << err;
+        ASSERT_TRUE(resp.ok) << resp.message;
+        EXPECT_EQ(resp.tier, "native");
+        if (id == 2)
+            EXPECT_GT(resp.buildMs, 0.0);
+        else
+            EXPECT_EQ(resp.buildMs, 0.0);
+    }
+    srv->stop();
 }
 
 TEST_F(ServiceTest, TransientNativeFailureRetriesThenDegrades)
